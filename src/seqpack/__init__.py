@@ -23,8 +23,6 @@ from .metrics import (
     StrategyRow,
     compare_strategies,
     compute_metrics,
-    fragmentation_rate,
-    padding_rate,
     scaled_token_budget,
 )
 from .model import (
@@ -94,7 +92,6 @@ __all__ = [
     "decode_samples",
     "effective_length",
     "emit_samples",
-    "fragmentation_rate",
     "ingest_corpus",
     "manifest_from_json",
     "manifest_to_json",
@@ -103,7 +100,6 @@ __all__ = [
     "pack_corpus",
     "pack_pad_last_document",
     "pack_restart_last_document",
-    "padding_rate",
     "preprocess_drop",
     "preprocess_slide",
     "preprocess_split",

@@ -9,6 +9,7 @@ manifest/stream errors, 3 strategy precondition violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -52,17 +53,7 @@ _STRATEGY_ALIASES = {
     "best_fit": Strategy.BEST_FIT,
 }
 
-_CONFIG_KEYS = (
-    "context_length",
-    "strategy",
-    "long_doc_policy",
-    "slide_overlap",
-    "separator_id",
-    "padding_id",
-    "sep_after_every_doc",
-    "drop_final_partial",
-    "online",
-)
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(PackingConfig))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +145,7 @@ def _build_config(args: argparse.Namespace, strategy_required: bool = True) -> P
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(_CONFIG_KEYS))
+        unknown = sorted(set(loaded) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)
@@ -230,15 +221,13 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
     docs = ingest_corpus(corpus_path, mode="full")
     retained, dropped = apply_policy(docs, manifest.config)
-    if (
-        len(retained) != manifest.documents.document_count
-        or sum(d.length for d in retained) != manifest.documents.total_tokens
-        or dropped != manifest.documents.dropped
-    ):
-        raise EmitError(
-            "manifest/corpus mismatch: corpus does not preprocess to the "
-            "documents the manifest was packed from"
-        )
+    # the emitter trusts the plan: refuse any manifest that fails verification
+    problems = [str(v) for v in verify_manifest(manifest, retained).violations]
+    if dropped != manifest.documents.dropped:
+        problems.insert(0, "dropped documents differ")
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
     store = FileTokenStore(retained, base_dir=corpus_path.parent)
     sink = io.BytesIO()
     summary = emit_samples(manifest, store, sink, mask_separators=args.mask_separators)

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .model import ConfigError, CorpusError, DocumentRecord, EmitError, TokenRef
+from .model import _TOKEN_BYTES, ConfigError, CorpusError, DocumentRecord, EmitError, TokenRef
 
 __all__ = [
     "ingest_corpus",
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _TOKEN_DTYPE = np.dtype("<u4")
-_TOKEN_BYTES = 4
 
 
 def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:

@@ -10,6 +10,7 @@ derived corpus still resolves against the original token store.
 from __future__ import annotations
 
 from .model import (
+    _TOKEN_BYTES,
     ConfigError,
     CorpusError,
     DocumentRecord,
@@ -19,8 +20,6 @@ from .model import (
 )
 
 __all__ = ["preprocess_split", "preprocess_slide", "preprocess_drop", "apply_policy"]
-
-_TOKEN_BYTES = 4
 
 
 def _chunk(doc: DocumentRecord, index: int, start: int, end: int) -> DocumentRecord:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 from .model import (
@@ -35,21 +37,20 @@ __all__ = [
 MANIFEST_FORMAT = "seqpack-manifest/1"
 
 
+def _fields_dict(obj) -> dict:
+    """A flat dataclass as a JSON object: one key per field, enum
+    members written as their values."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = value.value if isinstance(value, Enum) else value
+    return out
+
+
 def manifest_to_json(manifest: PackingManifest) -> str:
-    cfg = manifest.config
     payload = {
         "format": MANIFEST_FORMAT,
-        "config": {
-            "context_length": cfg.context_length,
-            "strategy": cfg.strategy.value,
-            "long_doc_policy": cfg.long_doc_policy.value,
-            "slide_overlap": cfg.slide_overlap,
-            "separator_id": cfg.separator_id,
-            "padding_id": cfg.padding_id,
-            "sep_after_every_doc": cfg.sep_after_every_doc,
-            "drop_final_partial": cfg.drop_final_partial,
-            "online": cfg.online,
-        },
+        "config": _fields_dict(manifest.config),
         "documents": {
             "count": manifest.documents.document_count,
             "total_tokens": manifest.documents.total_tokens,
@@ -65,14 +66,7 @@ def manifest_to_json(manifest: PackingManifest) -> str:
             }
             for s in manifest.samples
         ],
-        "metrics": {
-            "sample_count": manifest.metrics.sample_count,
-            "total_training_tokens": manifest.metrics.total_training_tokens,
-            "fragmented_doc_count": manifest.metrics.fragmented_doc_count,
-            "padding_token_count": manifest.metrics.padding_token_count,
-            "fragmentation_rate": manifest.metrics.fragmentation_rate,
-            "padding_rate": manifest.metrics.padding_rate,
-        },
+        "metrics": _fields_dict(manifest.metrics),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -102,14 +96,7 @@ def manifest_from_json(text: str) -> PackingManifest:
                 PackedSample(idx, placements, tuple(s["separators"]), padding)
             )
         m = payload["metrics"]
-        metrics = PackingMetrics(
-            m["sample_count"],
-            m["total_training_tokens"],
-            m["fragmented_doc_count"],
-            m["padding_token_count"],
-            m["fragmentation_rate"],
-            m["padding_rate"],
-        )
+        metrics = PackingMetrics(*(m[f.name] for f in fields(PackingMetrics)))
         return PackingManifest(
             cfg, summary, tuple(samples), metrics, payload["discarded_tail_tokens"]
         )

@@ -16,15 +16,12 @@ from .model import (
     DocumentRecord,
     PackedSample,
     PackingConfig,
-    PackingManifest,
     PackingMetrics,
     Strategy,
 )
 
 __all__ = [
     "compute_metrics",
-    "fragmentation_rate",
-    "padding_rate",
     "scaled_token_budget",
     "StrategyRow",
     "StrategyComparison",
@@ -56,31 +53,6 @@ def compute_metrics(
     frag_rate = len(fragmented) / len(documents) if documents else 0.0
     pad_rate = padding / total if total else 0.0
     return PackingMetrics(sample_count, total, len(fragmented), padding, frag_rate, pad_rate)
-
-
-def fragmentation_rate(
-    manifest: PackingManifest, documents: Sequence[DocumentRecord]
-) -> float:
-    """Recompute the fragmentation rate from raw placements: fragmented
-    documents over retained documents.  ``documents`` must be the
-    corpus the manifest was packed from (placements alone cannot tell a
-    complete placement from a truncated one)."""
-    lengths = {d.doc_id: d.length for d in documents}
-    fragmented: set[str] = set()
-    for sample in manifest.samples:
-        for p in sample.placements:
-            if p.end - p.start != lengths[p.doc_id]:
-                fragmented.add(p.doc_id)
-    return len(fragmented) / len(documents) if documents else 0.0
-
-
-def padding_rate(manifest: PackingManifest) -> float:
-    """Recompute the padding rate from raw samples: padding tokens over
-    all training tokens (sample count times context length)."""
-    total = len(manifest.samples) * manifest.config.context_length
-    if total == 0:
-        return 0.0
-    return sum(s.padding_length for s in manifest.samples) / total
 
 
 def scaled_token_budget(base_tokens: int, padding_rate: float) -> int:

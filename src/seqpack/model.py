@@ -79,6 +79,9 @@ class LongDocPolicy(str, Enum):
     DROP = "drop"
 
 
+_TOKEN_BYTES = 4  # size of one stored token id, see TokenRef
+
+
 @dataclass(frozen=True, slots=True)
 class TokenRef:
     """Locator for a document's token ids inside a flat binary store.

@@ -118,16 +118,18 @@ def pack_concat_then_split(
     return _finish(docs, cfg, samples, stream_len - retained)
 
 
-def pack_restart_last_document(
-    docs: list[DocumentRecord], cfg: PackingConfig
+def _fill_sequential(
+    docs: list[DocumentRecord], cfg: PackingConfig, restart: bool
 ) -> PackingManifest:
-    """Sequential fill where every sample begins at a document head.
+    """Fill samples in corpus order, one open sample at a time.
 
-    A document that cannot finish inside the open sample leaves its
-    prefix behind as a tail fragment and restarts from token zero at
-    the start of the next sample.  When a document's tokens reach the
-    sample boundary exactly, it completes there and only its separator
-    is elided — restarting it would duplicate the whole document.
+    The two sequential strategies differ only in the overflow rule, for
+    a document (with its separator) that does not fit the room left in
+    the open sample.  With ``restart`` the prefix that fits stays behind
+    as a tail fragment and the document restarts at the head of the next
+    sample; if its tokens land flush on the boundary it completes there
+    instead, separator elided.  Without ``restart`` the room left
+    becomes padding and the document starts the next sample whole.
     """
     _require_fits(docs, cfg)
     L = cfg.context_length
@@ -147,14 +149,14 @@ def pack_restart_last_document(
         eff = effective_length(n, cfg)
         rem = L - pos
         if eff > rem:
-            if rem == n:
-                # tokens land flush on the boundary: complete, separator elided
-                cur_pl.append(Placement(doc.doc_id, 0, n, len(samples), pos))
-                close()
-                continue
-            if rem < n:
+            if restart:
+                # rem <= n here: a tail fragment, or the whole document flush
                 cur_pl.append(Placement(doc.doc_id, 0, rem, len(samples), pos))
-            close()
+                close()
+                if rem == n:
+                    continue
+            else:
+                close((pos, L))
         cur_pl.append(Placement(doc.doc_id, 0, n, len(samples), pos))
         pos += n
         if eff > n:
@@ -165,11 +167,25 @@ def pack_restart_last_document(
 
     discarded = 0
     if pos > 0:
-        if cfg.drop_final_partial:
+        if restart and cfg.drop_final_partial:
             discarded = pos
         else:
             close((pos, L))
     return _finish(docs, cfg, samples, discarded)
+
+
+def pack_restart_last_document(
+    docs: list[DocumentRecord], cfg: PackingConfig
+) -> PackingManifest:
+    """Sequential fill where every sample begins at a document head.
+
+    A document that cannot finish inside the open sample leaves its
+    prefix behind as a tail fragment and restarts from token zero at
+    the start of the next sample.  When a document's tokens reach the
+    sample boundary exactly, it completes there and only its separator
+    is elided — restarting it would duplicate the whole document.
+    """
+    return _fill_sequential(docs, cfg, restart=True)
 
 
 def pack_pad_last_document(
@@ -178,35 +194,9 @@ def pack_pad_last_document(
     """Sequential fill that pads instead of fragmenting: when the next
     document (with its separator) does not fit in the open sample, the
     remainder becomes masked padding and the document starts the next
-    sample.  No document ever fragments."""
-    _require_fits(docs, cfg)
-    L = cfg.context_length
-
-    samples: list[PackedSample] = []
-    cur_pl: list[Placement] = []
-    cur_sep: list[int] = []
-    pos = 0
-
-    def close(pad: tuple[int, int] | None = None) -> None:
-        nonlocal cur_pl, cur_sep, pos
-        samples.append(PackedSample(len(samples), tuple(cur_pl), tuple(cur_sep), pad))
-        cur_pl, cur_sep, pos = [], [], 0
-
-    for doc in docs:
-        n = doc.length
-        eff = effective_length(n, cfg)
-        if eff > L - pos:
-            close((pos, L))
-        cur_pl.append(Placement(doc.doc_id, 0, n, len(samples), pos))
-        pos += n
-        if eff > n:
-            cur_sep.append(pos)
-            pos += 1
-        if pos == L:
-            close()
-    if pos > 0:
-        close((pos, L))
-    return _finish(docs, cfg, samples, 0)
+    sample.  No document ever fragments.  The final partial sample is
+    always kept and padded."""
+    return _fill_sequential(docs, cfg, restart=False)
 
 
 class _ResidualIndex:

@@ -9,13 +9,14 @@ raising, so a caller can show all of them at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .metrics import compute_metrics
 from .model import (
     DocumentRecord,
     PackingManifest,
+    PackingMetrics,
     Placement,
     Strategy,
 )
@@ -231,18 +232,11 @@ def verify_manifest(
         v.append(Violation(None, None, "metrics not recomputable: placements reference unknown documents"))
     else:
         stored = manifest.metrics
-        for field in (
-            "sample_count",
-            "total_training_tokens",
-            "fragmented_doc_count",
-            "padding_token_count",
-            "fragmentation_rate",
-            "padding_rate",
-        ):
-            a, b = getattr(stored, field), getattr(recomputed, field)
+        for field in fields(PackingMetrics):
+            a, b = getattr(stored, field.name), getattr(recomputed, field.name)
             if a != b:
                 v.append(
-                    Violation(None, None, f"metrics mismatch: {field} stored {a}, recomputed {b}")
+                    Violation(None, None, f"metrics mismatch: {field.name} stored {a}, recomputed {b}")
                 )
 
     return VerificationReport(tuple(v))

@@ -240,6 +240,41 @@ def test_emit_detects_manifest_corpus_mismatch(tmp_path, capsys):
     assert "manifest/corpus mismatch" in stderr
 
 
+def _emit_with_moved_placement(tmp_path, capsys, offset):
+    """Pack a 4-doc best_fit corpus, move d2 in the manifest's second
+    sample (d1 at offset 0 with 4 tokens, d2 at offset 5 with 2 tokens,
+    L=8) to ``offset``, then emit it."""
+    rng = random.Random(74)
+    corpus, _ = write_token_corpus(tmp_path, [3, 4, 2, 6], rng)
+    manifest_path = tmp_path / "m.json"
+    _run(
+        capsys,
+        ["pack", "--context-length", "8", "--strategy", "bfp", str(corpus), "--out", str(manifest_path)],
+    )
+    payload = json.loads(manifest_path.read_text())
+    placements = payload["samples"][1]["placements"]
+    assert [p[0] for p in placements] == ["d1", "d2"]
+    placements[1][3] = offset
+    manifest_path.write_text(json.dumps(payload))
+    out = tmp_path / "samples.bin"
+    code, _, stderr = _run(capsys, ["emit", str(corpus), "--manifest", str(manifest_path), "--out", str(out)])
+    assert code == 2
+    assert stderr.startswith("error: manifest/corpus mismatch: sample 1")
+    assert "Traceback" not in stderr
+    assert not out.exists()
+    return stderr
+
+
+def test_emit_rejects_overlapping_placements(tmp_path, capsys):
+    stderr = _emit_with_moved_placement(tmp_path, capsys, offset=2)
+    assert "overlapping spans" in stderr
+
+
+def test_emit_rejects_offset_past_context_length(tmp_path, capsys):
+    stderr = _emit_with_moved_placement(tmp_path, capsys, offset=9)
+    assert "capacity exceeded" in stderr
+
+
 def test_compare_table_and_json(tmp_path, capsys):
     corpus = _toy_corpus(tmp_path)
     code, stdout, _ = _run(capsys, ["compare", "--context-length", "5", str(corpus)])

@@ -8,8 +8,6 @@ from seqpack import (
     ConfigError,
     Strategy,
     compare_strategies,
-    fragmentation_rate,
-    padding_rate,
     pack_corpus,
     scaled_token_budget,
 )
@@ -30,17 +28,6 @@ def test_rates_match_frozen_toy_values(toy_docs):
         assert m.metrics.fragmentation_rate == pytest.approx(frag)
         assert m.metrics.padding_rate == pytest.approx(pad)
         assert m.metrics.total_training_tokens == samples * 5
-
-
-def test_recomputed_rates_equal_stored_rates():
-    rng = random.Random(31)
-    for _ in range(40):
-        lengths = random_lengths(rng, rng.randint(1, 40), 10)
-        docs = docs_from_lengths(lengths)
-        for strategy in ALL_STRATEGIES:
-            m = pack_corpus(docs, make_config(strategy, context_length=10))
-            assert fragmentation_rate(m, docs) == m.metrics.fragmentation_rate
-            assert padding_rate(m) == m.metrics.padding_rate
 
 
 def test_counter_consistency():
@@ -128,5 +115,3 @@ def test_empty_corpus_rates_are_zero():
     m = pack_corpus([], make_config(Strategy.PAD_LAST_DOCUMENT))
     assert m.metrics.fragmentation_rate == 0.0
     assert m.metrics.padding_rate == 0.0
-    assert fragmentation_rate(m, []) == 0.0
-    assert padding_rate(m) == 0.0
