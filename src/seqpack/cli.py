@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -27,9 +26,11 @@ from .model import (
     ConfigError,
     CorpusError,
     DecodeError,
+    DocumentRecord,
     EmitError,
     ManifestError,
     PackingConfig,
+    PackingManifest,
     PackingError,
     Strategy,
 )
@@ -203,35 +204,42 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_manifest(
+    manifest: PackingManifest, docs: list[DocumentRecord]
+) -> tuple[list[DocumentRecord], list[str]]:
+    """Check a manifest against the corpus after its long-document policy:
+    the retained documents, and every problem (dropped-id mismatch first)."""
+    retained, dropped = apply_policy(docs, manifest.config)
+    problems = [str(v) for v in verify_manifest(manifest, retained).violations]
+    if dropped != manifest.documents.dropped:
+        problems.insert(0, "dropped documents differ")
+    return retained, problems
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
-    docs = ingest_corpus(args.corpus)
-    retained, _ = apply_policy(docs, manifest.config)
-    report = verify_manifest(manifest, retained)
-    if report.ok:
+    _, problems = _check_manifest(manifest, ingest_corpus(args.corpus))
+    if not problems:
         print("ok")
         return EXIT_OK
-    for violation in report.violations:
-        print(violation)
+    for problem in problems:
+        print(problem)
     return EXIT_CONFIG
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     corpus_path = Path(args.corpus)
-    docs = ingest_corpus(corpus_path, mode="full")
-    retained, dropped = apply_policy(docs, manifest.config)
     # the emitter trusts the plan: refuse any manifest that fails verification
-    problems = [str(v) for v in verify_manifest(manifest, retained).violations]
-    if dropped != manifest.documents.dropped:
-        problems.insert(0, "dropped documents differ")
+    retained, problems = _check_manifest(manifest, ingest_corpus(corpus_path, mode="full"))
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
     store = FileTokenStore(retained, base_dir=corpus_path.parent)
-    sink = io.BytesIO()
-    summary = emit_samples(manifest, store, sink, mask_separators=args.mask_separators)
-    write_bytes_atomic(args.out, sink.getvalue())
+    summary = write_bytes_atomic(
+        args.out,
+        lambda fh: emit_samples(manifest, store, fh, mask_separators=args.mask_separators),
+    )
     print(
         f"samples={summary.samples_written} tokens={summary.tokens_written} "
         f"checksum=sha256:{summary.checksum}"

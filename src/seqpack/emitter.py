@@ -3,7 +3,7 @@
 File layout (all little-endian), fixed by the manifest alone plus the
 token store — re-emitting the same manifest gives identical bytes:
 
-* header: magic ``PKSB``, uint16 version, uint16 plane flags,
+* header: magic ``PKSB``, uint16 version, uint16 plane flags (always 3),
   uint32 context length, uint64 sample count;
 * per sample, in manifest order:
   token plane — ``context_length`` uint32 token ids;
@@ -40,8 +40,7 @@ MAGIC = b"PKSB"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIQ")
 _COUNT = struct.Struct("<H")
-_FLAG_MASK_PLANE = 1
-_FLAG_BOUNDARY_PLANE = 2
+_PLANE_FLAGS = 3  # bit 0: mask plane, bit 1: boundary plane
 _MAX_BOUNDARIES = 0xFFFF
 
 
@@ -86,36 +85,29 @@ def emit_samples(
         sink.write(data)
         digest.update(data)
 
-    out(
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            _FLAG_MASK_PLANE | _FLAG_BOUNDARY_PLANE,
-            L,
-            len(manifest.samples),
-        )
-    )
-    for sample in manifest.samples:
+    out(_HEADER.pack(MAGIC, VERSION, _PLANE_FLAGS, L, len(manifest.samples)))
+    for i, sample in enumerate(manifest.samples):
         tokens = np.full(L, cfg.padding_id, dtype="<u4")
         mask = np.ones(L, dtype=np.uint8)
+        occupied = len(sample.separator_positions)
         for p in sample.placements:
+            n = p.end - p.start
             piece = token_store.get(p.doc_id, p.start, p.end)
-            if len(piece) != p.end - p.start:
+            if len(piece) != n:
                 raise EmitError(
                     f"token store returned {len(piece)} ids for {p.doc_id!r} "
                     f"range [{p.start}, {p.end})"
                 )
-            tokens[p.offset : p.offset + (p.end - p.start)] = piece
+            tokens[p.offset : p.offset + n] = piece
+            occupied += n
         for off in sample.separator_positions:
             tokens[off] = cfg.separator_id
             if mask_separators:
                 mask[off] = 0
-        if sample.padding_span is not None:
-            ps, pe = sample.padding_span
-            mask[ps:pe] = 0
+        mask[occupied:] = 0
         if len(sample.placements) > _MAX_BOUNDARIES:
             raise EmitError(
-                f"sample {sample.sample_index} has {len(sample.placements)} "
+                f"sample {i} has {len(sample.placements)} "
                 f"placements; the boundary plane holds at most {_MAX_BOUNDARIES}"
             )
         boundaries = np.array([p.offset for p in sample.placements], dtype="<u4")
@@ -153,6 +145,8 @@ def decode_samples(
         raise DecodeError("not a packed sample stream")
     if version != VERSION:
         raise DecodeError(f"unsupported stream version {version}")
+    if flags != _PLANE_FLAGS:
+        raise DecodeError(f"unsupported plane flags {flags} (expected {_PLANE_FLAGS})")
     cfg = manifest.config
     if L != cfg.context_length or sample_count != len(manifest.samples):
         raise DecodeError(
@@ -163,21 +157,19 @@ def decode_samples(
 
     pieces: dict[str, list[tuple[int, int, np.ndarray]]] = {}
     zero_mask = 0
-    for sample in manifest.samples:
+    for i, sample in enumerate(manifest.samples):
         tokens = np.frombuffer(read(4 * L, "token plane"), dtype="<u4")
-        if flags & _FLAG_MASK_PLANE:
-            mask = np.frombuffer(read(L, "mask plane"), dtype=np.uint8)
-            zero_mask += int(np.count_nonzero(mask == 0))
-        if flags & _FLAG_BOUNDARY_PLANE:
-            (count,) = _COUNT.unpack(read(_COUNT.size, "boundary count"))
-            boundaries = np.frombuffer(read(4 * count, "boundary plane"), dtype="<u4")
-            if count != len(sample.placements) or any(
-                int(b) != p.offset for b, p in zip(boundaries, sample.placements)
-            ):
-                raise DecodeError(
-                    f"manifest/stream mismatch: boundary plane of sample "
-                    f"{sample.sample_index} disagrees with placements"
-                )
+        mask = np.frombuffer(read(L, "mask plane"), dtype=np.uint8)
+        zero_mask += int(np.count_nonzero(mask == 0))
+        (count,) = _COUNT.unpack(read(_COUNT.size, "boundary count"))
+        boundaries = np.frombuffer(read(4 * count, "boundary plane"), dtype="<u4")
+        if count != len(sample.placements) or any(
+            int(b) != p.offset for b, p in zip(boundaries, sample.placements)
+        ):
+            raise DecodeError(
+                f"manifest/stream mismatch: boundary plane of sample "
+                f"{i} disagrees with placements"
+            )
         for p in sample.placements:
             segment = tokens[p.offset : p.offset + (p.end - p.start)]
             pieces.setdefault(p.doc_id, []).append((p.start, p.end, segment))

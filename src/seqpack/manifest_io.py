@@ -13,6 +13,7 @@ import tempfile
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO, Callable, TypeVar
 
 from .model import (
     ConfigError,
@@ -36,6 +37,8 @@ __all__ = [
 
 MANIFEST_FORMAT = "seqpack-manifest/1"
 
+_T = TypeVar("_T")
+
 
 def _fields_dict(obj) -> dict:
     """A flat dataclass as a JSON object: one key per field, enum
@@ -47,7 +50,22 @@ def _fields_dict(obj) -> dict:
     return out
 
 
+def _sample_json(index: int, sample: PackedSample, L: int) -> dict:
+    rows = []
+    occupied = len(sample.separator_positions)
+    for p in sample.placements:
+        rows.append([p.doc_id, p.start, p.end, p.offset])
+        occupied += p.end - p.start
+    return {
+        "index": index,
+        "placements": rows,
+        "separators": list(sample.separator_positions),
+        "padding": [occupied, L] if occupied < L else None,
+    }
+
+
 def manifest_to_json(manifest: PackingManifest) -> str:
+    L = manifest.config.context_length
     payload = {
         "format": MANIFEST_FORMAT,
         "config": _fields_dict(manifest.config),
@@ -57,18 +75,40 @@ def manifest_to_json(manifest: PackingManifest) -> str:
             "dropped": list(manifest.documents.dropped),
         },
         "discarded_tail_tokens": manifest.discarded_tail_tokens,
-        "samples": [
-            {
-                "index": s.sample_index,
-                "placements": [[p.doc_id, p.start, p.end, p.offset] for p in s.placements],
-                "separators": list(s.separator_positions),
-                "padding": list(s.padding_span) if s.padding_span else None,
-            }
-            for s in manifest.samples
-        ],
+        "samples": [_sample_json(i, s, L) for i, s in enumerate(manifest.samples)],
         "metrics": _fields_dict(manifest.metrics),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _ints(values) -> bool:
+    # JSON true/false parse to bool, a subclass of int
+    return all(type(x) is int for x in values)
+
+
+def _sample_from_json(index: int, s: dict, L: int) -> PackedSample:
+    """One sample row, with its shape and its derived fields checked:
+    ``index`` is the row's position, ``padding`` the unoccupied suffix."""
+    where = f"malformed manifest: sample {index}:"
+    if type(s["index"]) is not int or s["index"] != index:
+        raise ManifestError(f"{where} index {json.dumps(s['index'])} is not its position")
+    placements = []
+    occupied = 0
+    for doc_id, start, end, offset in s["placements"]:
+        if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
+            row = json.dumps([doc_id, start, end, offset])
+            raise ManifestError(f"{where} placement {row} is not [str, int, int, int]")
+        placements.append(Placement(doc_id, start, end, offset))
+        occupied += end - start
+    separators = s["separators"]
+    if type(separators) is not list or not _ints(separators):
+        raise ManifestError(f"{where} separators must be a list of ints")
+    occupied += len(separators)
+    padding = [occupied, L] if occupied < L else None
+    if s["padding"] != padding or (padding and not _ints(s["padding"])):
+        shown = json.dumps(s["padding"])
+        raise ManifestError(f"{where} padding {shown} is not {json.dumps(padding)}")
+    return PackedSample(tuple(placements), tuple(separators))
 
 
 def manifest_from_json(text: str) -> PackingManifest:
@@ -76,42 +116,38 @@ def manifest_from_json(text: str) -> PackingManifest:
         payload = json.loads(text)
     except ValueError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
-        raise ManifestError(f"unsupported manifest format: {payload.get('format')!r}")
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != MANIFEST_FORMAT:
+        raise ManifestError(f"unsupported manifest format: {found!r}")
     try:
         cfg = PackingConfig(**payload["config"])
         docs = payload["documents"]
         summary = CorpusSummary(
             docs["count"], docs["total_tokens"], tuple(docs["dropped"])
         )
-        samples = []
-        for s in payload["samples"]:
-            idx = s["index"]
-            placements = tuple(
-                Placement(doc_id, start, end, idx, offset)
-                for doc_id, start, end, offset in s["placements"]
-            )
-            padding = tuple(s["padding"]) if s["padding"] is not None else None
-            samples.append(
-                PackedSample(idx, placements, tuple(s["separators"]), padding)
-            )
+        L = cfg.context_length
+        samples = tuple(
+            _sample_from_json(i, s, L) for i, s in enumerate(payload["samples"])
+        )
         m = payload["metrics"]
         metrics = PackingMetrics(*(m[f.name] for f in fields(PackingMetrics)))
         return PackingManifest(
-            cfg, summary, tuple(samples), metrics, payload["discarded_tail_tokens"]
+            cfg, summary, samples, metrics, payload["discarded_tail_tokens"]
         )
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from None
 
 
-def write_bytes_atomic(path: str | Path, data: bytes) -> None:
-    """Write via a temporary sibling and rename, so readers never see a
-    half-written file."""
+def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:
+    """Run ``write`` on a temporary sibling of ``path`` opened for binary
+    writing, then rename the sibling over ``path``, so readers never see
+    a half-written file.  Returns what ``write`` returned; on any
+    exception the sibling is removed and ``path`` is left as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            result = write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -119,10 +155,12 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    return result
 
 
 def write_manifest(manifest: PackingManifest, path: str | Path) -> None:
-    write_bytes_atomic(path, manifest_to_json(manifest).encode("utf-8"))
+    data = manifest_to_json(manifest).encode("utf-8")
+    write_bytes_atomic(path, lambda fh: fh.write(data))
 
 
 def read_manifest(path: str | Path) -> PackingManifest:

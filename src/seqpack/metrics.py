@@ -37,19 +37,22 @@ def compute_metrics(
     """Derive the metric counters for a set of packed samples.
 
     A document counts as fragmented (at most once) when any of its
-    placements covers fewer tokens than the document has; padding is
-    summed over the samples' padding suffixes.
+    placements covers fewer tokens than the document has; every token
+    a sample does not occupy is padding.
     """
     lengths = {d.doc_id: d.length for d in documents}
     fragmented: set[str] = set()
-    padding = 0
+    occupied = 0
     for sample in samples:
         for p in sample.placements:
-            if p.end - p.start != lengths[p.doc_id]:
+            n = p.end - p.start
+            if n != lengths[p.doc_id]:
                 fragmented.add(p.doc_id)
-        padding += sample.padding_length
+            occupied += n
+        occupied += len(sample.separator_positions)
     sample_count = len(samples)
     total = sample_count * context_length
+    padding = total - occupied
     frag_rate = len(fragmented) / len(documents) if documents else 0.0
     pad_rate = padding / total if total else 0.0
     return PackingMetrics(sample_count, total, len(fragmented), padding, frag_rate, pad_rate)

@@ -178,14 +178,13 @@ class Placement:
     """One contiguous piece of a document inside one sample.
 
     ``start``/``end`` are a half-open token interval within the
-    document; ``offset`` is where that interval begins inside sample
-    ``sample_index``.
+    document; ``offset`` is where that interval begins inside the
+    sample that holds this placement.
     """
 
     doc_id: str
     start: int
     end: int
-    sample_index: int
     offset: int
 
     @property
@@ -195,20 +194,12 @@ class Placement:
 
 @dataclass(frozen=True, slots=True)
 class PackedSample:
-    """One fixed-length training sample: placements, separator token
-    positions, and an optional padding suffix.  Occupied tokens plus
-    padding always account for the full context length."""
+    """One fixed-length training sample: placements and separator token
+    positions.  A sample's index is its position in the manifest, and
+    its padding is the suffix ``[occupied_tokens, context_length)``."""
 
-    sample_index: int
     placements: tuple[Placement, ...]
     separator_positions: tuple[int, ...] = ()
-    padding_span: tuple[int, int] | None = None
-
-    @property
-    def padding_length(self) -> int:
-        if self.padding_span is None:
-            return 0
-        return self.padding_span[1] - self.padding_span[0]
 
     @property
     def occupied_tokens(self) -> int:

@@ -97,7 +97,7 @@ def pack_concat_then_split(
             idx = cursor // L
             seg_end = min(end, (idx + 1) * L)
             placements[idx].append(
-                Placement(doc.doc_id, cursor - s, seg_end - s, idx, cursor - idx * L)
+                Placement(doc.doc_id, cursor - s, seg_end - s, cursor - idx * L)
             )
             cursor = seg_end
         if sep_cost:
@@ -105,16 +105,9 @@ def pack_concat_then_split(
             if p < retained:
                 separators[p // L].append(p % L)
 
-    samples = []
-    for i in range(sample_count):
-        pad = None
-        if not cfg.drop_final_partial and i == sample_count - 1:
-            fill = stream_len - i * L
-            if fill < L:
-                pad = (fill, L)
-        samples.append(
-            PackedSample(i, tuple(placements[i]), tuple(separators[i]), pad)
-        )
+    samples = [
+        PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)
+    ]
     return _finish(docs, cfg, samples, stream_len - retained)
 
 
@@ -139,9 +132,9 @@ def _fill_sequential(
     cur_sep: list[int] = []
     pos = 0
 
-    def close(pad: tuple[int, int] | None = None) -> None:
+    def close() -> None:
         nonlocal cur_pl, cur_sep, pos
-        samples.append(PackedSample(len(samples), tuple(cur_pl), tuple(cur_sep), pad))
+        samples.append(PackedSample(tuple(cur_pl), tuple(cur_sep)))
         cur_pl, cur_sep, pos = [], [], 0
 
     for doc in docs:
@@ -151,13 +144,13 @@ def _fill_sequential(
         if eff > rem:
             if restart:
                 # rem <= n here: a tail fragment, or the whole document flush
-                cur_pl.append(Placement(doc.doc_id, 0, rem, len(samples), pos))
+                cur_pl.append(Placement(doc.doc_id, 0, rem, pos))
                 close()
                 if rem == n:
                     continue
             else:
-                close((pos, L))
-        cur_pl.append(Placement(doc.doc_id, 0, n, len(samples), pos))
+                close()
+        cur_pl.append(Placement(doc.doc_id, 0, n, pos))
         pos += n
         if eff > n:
             cur_sep.append(pos)
@@ -170,7 +163,7 @@ def _fill_sequential(
         if restart and cfg.drop_final_partial:
             discarded = pos
         else:
-            close((pos, L))
+            close()
     return _finish(docs, cfg, samples, discarded)
 
 
@@ -310,7 +303,7 @@ def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingMani
             placements.append([])
             separators.append([])
         pos = fills[sample_id]
-        placements[sample_id].append(Placement(doc.doc_id, 0, n, sample_id, pos))
+        placements[sample_id].append(Placement(doc.doc_id, 0, n, pos))
         if eff > n:
             separators[sample_id].append(pos + n)
         fill = pos + eff
@@ -319,13 +312,7 @@ def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingMani
             index.put(sample_id, L - fill)
 
     samples = [
-        PackedSample(
-            i,
-            tuple(placements[i]),
-            tuple(separators[i]),
-            (fills[i], L) if fills[i] < L else None,
-        )
-        for i in range(len(fills))
+        PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)
     ]
     return _finish(docs, cfg, samples, 0)
 

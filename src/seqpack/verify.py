@@ -33,14 +33,14 @@ _HEAD_RULE = (
 
 @dataclass(frozen=True, slots=True)
 class Violation:
-    sample_index: int | None
+    sample: int | None
     doc_id: str | None
     message: str
 
     def __str__(self) -> str:
         where = []
-        if self.sample_index is not None:
-            where.append(f"sample {self.sample_index}")
+        if self.sample is not None:
+            where.append(f"sample {self.sample}")
         if self.doc_id is not None:
             where.append(f"doc {self.doc_id}")
         prefix = " ".join(where)
@@ -95,10 +95,10 @@ def verify_manifest(
         if doc_id in lengths:
             v.append(Violation(None, doc_id, "dropped document still in corpus"))
 
-    placed: dict[str, list[Placement]] = {}
+    # doc_id -> (sample position, placement) for every in-bounds placement,
+    # in manifest order (offset order too, unless "placements out of order")
+    placed: dict[str, list[tuple[int, Placement]]] = {}
     for i, sample in enumerate(manifest.samples):
-        if sample.sample_index != i:
-            v.append(Violation(i, None, f"sample index {sample.sample_index} out of order"))
         if not sample.placements:
             v.append(Violation(i, None, "sample has no placements"))
             continue
@@ -106,8 +106,6 @@ def verify_manifest(
         spans: list[tuple[int, int]] = []
         last_offset = -1
         for p in sample.placements:
-            if p.sample_index != sample.sample_index:
-                v.append(Violation(i, p.doc_id, "placement assigned to wrong sample"))
             if p.offset <= last_offset:
                 v.append(Violation(i, p.doc_id, "placements out of order"))
             last_offset = p.offset
@@ -136,7 +134,7 @@ def verify_manifest(
                 )
                 continue
             spans.append((p.offset, p.offset + p.end - p.start))
-            placed.setdefault(p.doc_id, []).append(p)
+            placed.setdefault(p.doc_id, []).append((i, p))
 
         for off in sample.separator_positions:
             if not 0 <= off < L:
@@ -152,22 +150,8 @@ def verify_manifest(
             v.append(Violation(i, None, "overlapping spans within sample"))
 
         occupied = sum(b - a for a, b in spans)
-        pad = sample.padding_span
-        pad_len = 0
-        if pad is not None:
-            ps, pe = pad
-            pad_len = pe - ps
-            if pe != L or ps > pe or ps != occupied:
-                v.append(Violation(i, None, "padding span must be the sample suffix"))
-        if occupied + pad_len != L:
-            v.append(
-                Violation(
-                    i,
-                    None,
-                    f"sample occupancy {occupied} + padding {pad_len} != "
-                    f"context length {L}",
-                )
-            )
+        if occupied > L:
+            v.append(Violation(i, None, f"sample occupancy {occupied} exceeds context length {L}"))
         elif not overlap:
             cursor = 0
             for a, b in spans:
@@ -176,7 +160,7 @@ def verify_manifest(
                     break
                 cursor = b
 
-        if pad_len and cfg.drop_final_partial and strategy in (
+        if occupied < L and cfg.drop_final_partial and strategy in (
             Strategy.CONCAT_THEN_SPLIT,
             Strategy.RESTART_LAST_DOCUMENT,
         ):
@@ -189,17 +173,17 @@ def verify_manifest(
 
     for doc_id, pls in placed.items():
         n = lengths[doc_id]
-        pls = sorted(pls, key=lambda p: (p.sample_index, p.offset))
         if strategy in _FRAGMENT_FREE:
             if len(pls) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))
-            if pls[0].start != 0 or pls[0].end != n:
+            first = pls[0][1]
+            if first.start != 0 or first.end != n:
                 v.append(
                     Violation(None, doc_id, "fragmented document under fragment-free strategy")
                 )
         elif strategy is Strategy.CONCAT_THEN_SPLIT:
             cursor = 0
-            for p in pls:
+            for _, p in pls:
                 if p.start < cursor:
                     v.append(Violation(None, doc_id, "duplicate coverage"))
                     break
@@ -208,17 +192,13 @@ def verify_manifest(
                     break
                 cursor = p.end
         else:  # restart_last_document: prefix fragments only, one restart at most
-            fulls = [p for p in pls if p.end == n]
-            partials = [p for p in pls if p.end < n]
-            for p in pls:
-                if p.start != 0:
-                    v.append(
-                        Violation(None, doc_id, "placement must start at document offset 0")
-                    )
-                    break
+            fulls = [i for i, p in pls if p.end == n]
+            partials = [i for i, p in pls if p.end < n]
+            if any(p.start != 0 for _, p in pls):
+                v.append(Violation(None, doc_id, "placement must start at document offset 0"))
             if len(fulls) > 1 or len(partials) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))
-            elif partials and fulls and partials[0].sample_index >= fulls[0].sample_index:
+            elif partials and fulls and partials[0] >= fulls[0]:
                 v.append(Violation(None, doc_id, "restart precedes its tail fragment"))
 
     if strategy in _FRAGMENT_FREE:

@@ -109,10 +109,10 @@ def sweep():
                 if m.metrics.fragmentation_rate != 0.0 or m.metrics.fragmented_doc_count != 0:
                     violations.append(f"{where}: nonzero fragmentation")
             if strategy is not Strategy.CONCAT_THEN_SPLIT:
-                for s in m.samples:
+                for i, s in enumerate(m.samples):
                     first = s.placements[0]
                     if first.offset != 0 or first.start != 0:
-                        violations.append(f"{where}: sample {s.sample_index} head rule")
+                        violations.append(f"{where}: sample {i} head rule")
                         break
         pairs.append(
             (per_strategy[Strategy.BEST_FIT], per_strategy[Strategy.PAD_LAST_DOCUMENT])

@@ -275,6 +275,63 @@ def test_emit_rejects_offset_past_context_length(tmp_path, capsys):
     assert "capacity exceeded" in stderr
 
 
+def _pack_and_tamper(tmp_path, capsys, lengths, argv, edit):
+    """Pack a token corpus with ``argv`` at L=5, apply ``edit`` to the
+    manifest's JSON payload, and return the corpus and manifest paths."""
+    corpus, _ = write_token_corpus(tmp_path, lengths, random.Random(75))
+    manifest_path = tmp_path / "m.json"
+    code, _, _ = _run(
+        capsys,
+        ["pack", "--context-length", "5", *argv, str(corpus), "--out", str(manifest_path)],
+    )
+    assert code == 0
+    payload = json.loads(manifest_path.read_text())
+    edit(payload)
+    manifest_path.write_text(json.dumps(payload))
+    return corpus, manifest_path
+
+
+@pytest.mark.parametrize("dropped", [[], ["d3", "bogus"]], ids=["emptied", "bogus_id"])
+def test_verify_and_emit_reject_wrong_dropped_list(tmp_path, capsys, dropped):
+    # d3 is longer than L=5, so the drop policy removes it
+    corpus, manifest_path = _pack_and_tamper(
+        tmp_path, capsys, [3, 4, 2, 9], ["--strategy", "pld", "--long-doc", "drop"],
+        lambda payload: payload["documents"].update(dropped=dropped),
+    )
+    code, stdout, _ = _run(capsys, ["verify", str(corpus), "--manifest", str(manifest_path)])
+    assert code == 1
+    assert stdout == "dropped documents differ\n"
+    out = tmp_path / "samples.bin"
+    code, _, stderr = _run(
+        capsys, ["emit", str(corpus), "--manifest", str(manifest_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert stderr == "error: manifest/corpus mismatch: dropped documents differ\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload["samples"][0].update(padding=[4]),
+        lambda payload: payload["samples"][0]["placements"][0].__setitem__(3, "0"),
+        lambda payload: payload["samples"][0].update(index=7),
+        lambda payload: payload["samples"][0].update(padding=None),
+    ],
+    ids=["short_padding", "string_offset", "index_not_position", "null_padding"],
+)
+@pytest.mark.parametrize("command", ["verify", "emit"])
+def test_malformed_manifest_is_exit_2(tmp_path, capsys, edit, command):
+    corpus, manifest_path = _pack_and_tamper(tmp_path, capsys, TOY, ["--strategy", "pld"], edit)
+    argv = [command, str(corpus), "--manifest", str(manifest_path)]
+    if command == "emit":
+        argv += ["--out", str(tmp_path / "samples.bin")]
+    code, stdout, stderr = _run(capsys, argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: malformed manifest: sample 0")
+
+
 def test_compare_table_and_json(tmp_path, capsys):
     corpus = _toy_corpus(tmp_path)
     code, stdout, _ = _run(capsys, ["compare", "--context-length", "5", str(corpus)])

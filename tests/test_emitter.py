@@ -166,6 +166,16 @@ def test_decode_rejects_boundary_disagreement(toy_docs):
         decode_samples(io.BytesIO(tampered), m)
 
 
+def test_decode_rejects_other_plane_flags(toy_docs):
+    m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
+    blob, _ = _emit(m)
+    magic, version, _, L, count = HEADER.unpack(blob[: HEADER.size])
+    for flags in (0, 1, 2, 7):
+        tampered = HEADER.pack(magic, version, flags, L, count) + blob[HEADER.size :]
+        with pytest.raises(DecodeError, match="unsupported plane flags"):
+            decode_samples(io.BytesIO(tampered), m)
+
+
 def test_emit_rejects_short_token_store(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
 
@@ -181,7 +191,7 @@ def test_emit_rejects_boundary_overflow(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     # graft 65536 single-token placements onto one sample
     many = tuple(
-        Placement("A", 0, 1, 0, 0) for _ in range(65536)
+        Placement("A", 0, 1, 0) for _ in range(65536)
     )
     from dataclasses import replace
 

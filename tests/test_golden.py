@@ -6,7 +6,7 @@ separator, final-drop and long-document policy; best_fit also runs in
 online mode.  The ``manifest_to_json`` bytes of all runs of one strategy
 are hashed into one SHA-256.  A refactor that changes any manifest byte
 changes a digest; a deliberate format change must update the table and
-say why.
+say why.  Every manifest must also read back to the same bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 import pytest
 
 from seqpack import LongDocPolicy, PackingConfig, Strategy, pack_corpus
-from seqpack.manifest_io import manifest_to_json
+from seqpack.manifest_io import manifest_from_json, manifest_to_json
 
 from util import ALL_STRATEGIES, docs_from_lengths
 
@@ -54,7 +54,9 @@ def _digest(strategy: Strategy) -> str:
                 drop_final_partial=drop_final,
                 online=online,
             )
-            h.update(manifest_to_json(pack_corpus(docs, cfg)).encode("utf-8"))
+            text = manifest_to_json(pack_corpus(docs, cfg))
+            assert manifest_to_json(manifest_from_json(text)) == text
+            h.update(text.encode("utf-8"))
     return h.hexdigest()
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -63,6 +64,8 @@ def test_rejects_wrong_format_tag(toy_docs):
     payload["format"] = "other/9"
     with pytest.raises(ManifestError, match="unsupported manifest format"):
         manifest_from_json(json.dumps(payload))
+    with pytest.raises(ManifestError, match="unsupported manifest format"):
+        manifest_from_json("[]")
 
 
 def test_rejects_missing_sections(toy_docs):
@@ -81,9 +84,67 @@ def test_rejects_bad_config_values(toy_docs):
         manifest_from_json(json.dumps(payload))
 
 
+def _tampered(toy_docs, edit):
+    """pad_last_document on the toy corpus, as JSON, with ``edit``
+    applied to its sample rows: sample 0 holds A and a separator and is
+    padded from 4, sample 1 is full, sample 2 is padded from 3."""
+    manifest = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
+    payload = json.loads(manifest_to_json(manifest))
+    edit(payload["samples"])
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s[0].update(index=5), "sample 0: index 5 is not its position"),
+        (lambda s: s[0].update(padding=[3, 4]), "sample 0: padding [3, 4] is not [4, 5]"),
+        (lambda s: s[0].update(padding=None), "sample 0: padding null is not [4, 5]"),
+        (lambda s: s[1].update(padding=[5, 5]), "sample 1: padding [5, 5] is not null"),
+    ],
+    ids=["index_not_position", "padding_not_suffix", "null_padding_under_full", "padding_on_full"],
+)
+def test_rejects_tampered_index_or_padding(toy_docs, edit, message):
+    with pytest.raises(ManifestError, match=re.escape(f"malformed manifest: {message}")):
+        manifest_from_json(_tampered(toy_docs, edit))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda s: s[0].update(padding=[4]),
+        lambda s: s[0].update(padding=[4.0, 5]),
+        lambda s: s[1].update(index=True),
+        lambda s: s[0]["placements"][0].__setitem__(3, "0"),
+        lambda s: s[0]["placements"][0].__setitem__(1, False),
+        lambda s: s[0]["placements"][0].pop(),
+        lambda s: s[0]["placements"].__setitem__(0, "A034"),
+        lambda s: s[0].update(separators=[3.0]),
+        lambda s: s[0].update(separators=3),
+    ],
+    ids=[
+        "short_padding", "float_padding", "bool_index", "string_offset", "bool_start",
+        "short_placement", "string_placement", "float_separator", "int_separators",
+    ],
+)
+def test_rejects_malformed_sample_fields(toy_docs, edit):
+    with pytest.raises(ManifestError, match="malformed manifest"):
+        manifest_from_json(_tampered(toy_docs, edit))
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     target = tmp_path / "out.bin"
     target.write_bytes(b"old")
-    write_bytes_atomic(target, b"new")
+    assert write_bytes_atomic(target, lambda fh: fh.write(b"new")) == 3
     assert target.read_bytes() == b"new"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_atomic_write_failure_leaves_no_file(tmp_path):
+    def fail_midway(fh):
+        fh.write(b"partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        write_bytes_atomic(tmp_path / "out.bin", fail_midway)
+    assert list(tmp_path.iterdir()) == []

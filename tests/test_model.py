@@ -67,11 +67,10 @@ def test_effective_length_rule():
 
 
 def test_placement_and_sample_accessors():
-    p = Placement("d", 2, 6, 0, 1)
+    p = Placement("d", 2, 6, 1)
     assert p.length == 4
-    s = PackedSample(0, (p,), (5,), (6, 8))
+    s = PackedSample((p,), (5,))
     assert s.occupied_tokens == 5
-    assert s.padding_length == 2
-    bare = PackedSample(1, (p,))
-    assert bare.padding_length == 0
+    bare = PackedSample((p,))
+    assert bare.occupied_tokens == 4
     assert bare.separator_positions == ()

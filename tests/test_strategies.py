@@ -44,7 +44,7 @@ def test_concat_keep_tail_pads_final_sample(toy_docs):
     last = m.samples[-1]
     assert _spans(last) == [("C", 1, 2, 0)]
     assert last.separator_positions == (1,)
-    assert last.padding_span == (2, 5)
+    assert last.occupied_tokens == 2  # padded from offset 2
     assert m.metrics.padding_token_count == 3
     # B and C straddle sample borders; A stays intact
     assert m.metrics.fragmented_doc_count == 2
@@ -112,7 +112,7 @@ def test_restart_partial_prefix_then_full_copy():
     # d1[0:2) as a tail fragment; d1 restarts in full in sample 1
     assert _spans(m.samples[0]) == [("d0", 0, 2, 0), ("d1", 0, 2, 3)]
     assert _spans(m.samples[1]) == [("d1", 0, 4, 0)]
-    assert m.samples[1].padding_span is None
+    assert m.samples[1].occupied_tokens == 5
     assert m.metrics.fragmented_doc_count == 1
 
 
@@ -144,11 +144,11 @@ def test_pad_toy_layout(toy_docs):
     m = pack_corpus(toy_docs, cfg)
     assert len(m.samples) == 3
     assert _spans(m.samples[0]) == [("A", 0, 3, 0)]
-    assert m.samples[0].padding_span == (4, 5)
+    assert m.samples[0].occupied_tokens == 4
     assert _spans(m.samples[1]) == [("B", 0, 4, 0)]
-    assert m.samples[1].padding_span is None  # doc plus separator fills it
+    assert m.samples[1].occupied_tokens == 5  # doc plus separator fills it
     assert _spans(m.samples[2]) == [("C", 0, 2, 0)]
-    assert m.samples[2].padding_span == (3, 5)
+    assert m.samples[2].occupied_tokens == 3
     assert m.metrics.padding_token_count == 3
     assert m.metrics.padding_rate == pytest.approx(3 / 15)
     assert m.metrics.fragmented_doc_count == 0
@@ -167,7 +167,7 @@ def test_pad_exact_fit_no_padding():
     cfg = make_config(Strategy.PAD_LAST_DOCUMENT, context_length=5)
     m = pack_corpus(docs_from_lengths([4, 4, 4]), cfg)
     assert len(m.samples) == 3
-    assert all(s.padding_span is None for s in m.samples)
+    assert all(s.occupied_tokens == 5 for s in m.samples)
     assert m.metrics.padding_token_count == 0
 
 
@@ -188,7 +188,7 @@ def test_pad_never_fragments_property():
         m = pack_corpus(docs_from_lengths(lengths), cfg)
         assert m.metrics.fragmented_doc_count == 0
         for s in m.samples:
-            assert s.occupied_tokens + s.padding_length == 12
+            assert s.occupied_tokens <= 12
 
 
 # --- best_fit ----------------------------------------------------------------
@@ -288,7 +288,7 @@ def test_all_strategies_respect_capacity_and_coverage():
             cfg = make_config(strategy, context_length=12)
             m = pack_corpus(docs, cfg)
             for s in m.samples:
-                assert s.occupied_tokens + s.padding_length <= 12
+                assert s.occupied_tokens <= 12
                 for p in s.placements:
                     assert 0 <= p.start < p.end <= lengths[int(p.doc_id[1:])]
 

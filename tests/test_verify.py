@@ -92,9 +92,7 @@ def test_detects_duplicate_coverage(toy_docs):
     # point sample 2's placement at a doc that is already fully placed
     sample2 = manifest.samples[2]
     dup = replace(sample2.placements[0], doc_id="A", start=0, end=3)
-    bad = _tamper_sample(
-        manifest, 2, placements=(dup,), separator_positions=(3,), padding_span=(4, 5)
-    )
+    bad = _tamper_sample(manifest, 2, placements=(dup,), separator_positions=(3,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "duplicate coverage" in msgs
     assert "missing from packing" in msgs  # C disappeared
@@ -105,20 +103,6 @@ def test_detects_fragment_under_fragment_free_strategy(toy_docs):
     bad = _tamper_placement(manifest, 1, 0, end=2)  # truncate A's placement
     msgs = _messages(verify_manifest(bad, docs))
     assert "fragmented document under fragment-free strategy" in msgs
-
-
-def test_detects_bad_padding_span(toy_docs):
-    manifest, docs = _pack(toy_docs, Strategy.PAD_LAST_DOCUMENT)
-    bad = _tamper_sample(manifest, 0, padding_span=(3, 4))
-    msgs = _messages(verify_manifest(bad, docs))
-    assert "padding span must be the sample suffix" in msgs
-
-
-def test_detects_occupancy_shortfall(toy_docs):
-    manifest, docs = _pack(toy_docs, Strategy.PAD_LAST_DOCUMENT)
-    bad = _tamper_sample(manifest, 0, padding_span=None)
-    msgs = _messages(verify_manifest(bad, docs))
-    assert "occupancy" in msgs
 
 
 def test_detects_metrics_mismatch(toy_docs):
@@ -147,7 +131,6 @@ def test_detects_unexpected_padding_under_zero_padding_strategy(toy_docs):
         1,
         placements=sample.placements[:1],
         separator_positions=(3,),
-        padding_span=(4, 5),
     )
     msgs = _messages(verify_manifest(bad, docs))
     assert "unexpected padding under zero-padding strategy" in msgs
@@ -166,9 +149,7 @@ def test_detects_gap(toy_docs):
     # separator to 4, leaving offset 3 uncovered
     sample = manifest.samples[1]
     shrunk = replace(sample.placements[0], end=3)
-    bad = _tamper_sample(
-        manifest, 1, placements=(shrunk,), separator_positions=(4,), padding_span=(4, 5)
-    )
+    bad = _tamper_sample(manifest, 1, placements=(shrunk,), separator_positions=(4,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "gap in sample at offset 3" in msgs
 
@@ -202,13 +183,6 @@ def test_detects_empty_sample(toy_docs):
     assert "sample has no placements" in msgs
 
 
-def test_detects_sample_index_disorder(toy_docs):
-    manifest, docs = _pack(toy_docs, Strategy.PAD_LAST_DOCUMENT)
-    bad = _tamper_sample(manifest, 0, sample_index=5)
-    msgs = _messages(verify_manifest(bad, docs))
-    assert "out of order" in msgs
-
-
 def test_detects_restart_order_violation():
     from seqpack.metrics import compute_metrics
     from seqpack.model import CorpusSummary, PackedSample, PackingManifest
@@ -216,8 +190,8 @@ def test_detects_restart_order_violation():
     # a manifest claiming the full copy came before the tail fragment
     docs = docs_from_lengths([4])
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
-    s0 = PackedSample(0, (Placement("d0", 0, 4, 0, 0),), (4,), None)
-    s1 = PackedSample(1, (Placement("d0", 0, 2, 1, 0),), (), (2, 5))
+    s0 = PackedSample((Placement("d0", 0, 4, 0),), (4,))
+    s1 = PackedSample((Placement("d0", 0, 2, 0),))
     metrics = compute_metrics([s0, s1], docs, 5)
     bad = PackingManifest(cfg, CorpusSummary(1, 4), (s0, s1), metrics, 0)
     msgs = _messages(verify_manifest(bad, docs))
