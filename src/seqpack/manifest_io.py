@@ -13,7 +13,7 @@ import tempfile
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Callable, TypeVar, get_type_hints
 
 from .model import (
     ConfigError,
@@ -86,6 +86,18 @@ def _ints(values) -> bool:
     return all(type(x) is int for x in values)
 
 
+def _number(block: dict, key: str, kind: type, where: str) -> int | float:
+    """``block[key]``: an int, or any JSON number where ``kind`` is float."""
+    value = block[key]
+    if type(value) is not int and not (kind is float and type(value) is float):
+        wanted = "a number" if kind is float else "an int"
+        raise ManifestError(f"malformed manifest: {where}{key} {json.dumps(value)} is not {wanted}")
+    return value
+
+
+_METRIC_TYPES = get_type_hints(PackingMetrics)
+
+
 def _sample_from_json(index: int, s: dict, L: int) -> PackedSample:
     """One sample row, with its shape and its derived fields checked:
     ``index`` is the row's position, ``padding`` the unoccupied suffix."""
@@ -122,18 +134,24 @@ def manifest_from_json(text: str) -> PackingManifest:
     try:
         cfg = PackingConfig(**payload["config"])
         docs = payload["documents"]
+        dropped = docs["dropped"]
+        if type(dropped) is not list or not all(type(x) is str for x in dropped):
+            raise ManifestError("malformed manifest: documents.dropped must be a list of strings")
         summary = CorpusSummary(
-            docs["count"], docs["total_tokens"], tuple(docs["dropped"])
+            _number(docs, "count", int, "documents."),
+            _number(docs, "total_tokens", int, "documents."),
+            tuple(dropped),
         )
         L = cfg.context_length
         samples = tuple(
             _sample_from_json(i, s, L) for i, s in enumerate(payload["samples"])
         )
         m = payload["metrics"]
-        metrics = PackingMetrics(*(m[f.name] for f in fields(PackingMetrics)))
-        return PackingManifest(
-            cfg, summary, samples, metrics, payload["discarded_tail_tokens"]
+        metrics = PackingMetrics(
+            **{name: _number(m, name, kind, "metrics.") for name, kind in _METRIC_TYPES.items()}
         )
+        discarded = _number(payload, "discarded_tail_tokens", int, "")
+        return PackingManifest(cfg, summary, samples, metrics, discarded)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from None
 

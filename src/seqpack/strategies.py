@@ -12,8 +12,9 @@ the separator is charged to the same sample as its document.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import replace
+from heapq import heappop, heappush
 
 from .longdoc import apply_policy
 from .metrics import compute_metrics
@@ -192,87 +193,6 @@ def pack_pad_last_document(
     return _fill_sequential(docs, cfg, restart=False)
 
 
-class _ResidualIndex:
-    """Open-sample lookup for best-fit: the sample with the smallest
-    residual capacity that still fits a given need, ties broken toward
-    the lowest sample index.
-
-    Residuals are small integers, so samples live in per-residual
-    buckets with a flat segment tree of live counts on top answering
-    "first non-empty bucket at or above r" in O(log capacity).  Each
-    bucket is a heap of sample ids with lazy invalidation: a sample's
-    residual only shrinks, so stale entries are detected by comparing
-    against the current residual and skipped on access.
-    """
-
-    __slots__ = ("_leaves", "_tree", "_heaps", "_residual")
-
-    def __init__(self, capacity: int) -> None:
-        leaves = 1
-        while leaves < capacity + 1:
-            leaves <<= 1
-        self._leaves = leaves
-        self._tree = [0] * (2 * leaves)
-        self._heaps: list[list[int]] = [[] for _ in range(capacity + 1)]
-        self._residual: list[int] = []
-
-    def put(self, sample_id: int, residual: int) -> None:
-        res = self._residual
-        while len(res) <= sample_id:
-            res.append(-1)
-        res[sample_id] = residual
-        heapq.heappush(self._heaps[residual], sample_id)
-        tree = self._tree
-        i = self._leaves + residual
-        while i:
-            tree[i] += 1
-            i >>= 1
-
-    def take(self, need: int) -> int | None:
-        """Pop and return the best sample for ``need``, or None."""
-        if need >= len(self._heaps):
-            return None
-        tree = self._tree
-        leaves = self._leaves
-        total = tree[1]
-        if total == 0:
-            return None
-        # live samples with residual < need
-        before = 0
-        lo, hi = leaves, leaves + need
-        while lo < hi:
-            if lo & 1:
-                before += tree[lo]
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                before += tree[hi]
-            lo >>= 1
-            hi >>= 1
-        if before == total:
-            return None
-        # descend to the (before+1)-th live entry, i.e. the smallest fit
-        k = before
-        node = 1
-        while node < leaves:
-            node <<= 1
-            if tree[node] <= k:
-                k -= tree[node]
-                node += 1
-        residual = node - leaves
-        heap = self._heaps[residual]
-        res = self._residual
-        while res[heap[0]] != residual:
-            heapq.heappop(heap)
-        sample_id = heapq.heappop(heap)
-        res[sample_id] = -1
-        i = node
-        while i:
-            tree[i] -= 1
-            i >>= 1
-        return sample_id
-
-
 def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Whole-document bin packing: each document goes into the open
     sample with the least remaining room that still fits it entirely,
@@ -289,15 +209,27 @@ def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingMani
     if not cfg.online:
         items = sorted(docs, key=lambda d: (-effective_length(d.length, cfg), d.doc_id))
 
-    index = _ResidualIndex(L)
+    # live: the residuals that have an open sample, sorted, so the
+    # smallest one that fits is a bisect away; open_at[r]: a min-heap of
+    # the open sample ids with residual r.  Ties go to the lowest id, the
+    # one a scan of the open samples in opening order finds first, so the
+    # plan is fixed by the processing order alone.
+    live: list[int] = []
+    open_at: dict[int, list[int]] = {}
     fills: list[int] = []
     placements: list[list[Placement]] = []
     separators: list[list[int]] = []
     for doc in items:
         n = doc.length
         eff = effective_length(n, cfg)
-        sample_id = index.take(eff)
-        if sample_id is None:
+        j = bisect_left(live, eff)
+        if j < len(live):
+            heap = open_at[live[j]]
+            sample_id = heappop(heap)
+            if not heap:
+                del open_at[live[j]]
+                del live[j]
+        else:
             sample_id = len(fills)
             fills.append(0)
             placements.append([])
@@ -309,7 +241,13 @@ def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingMani
         fill = pos + eff
         fills[sample_id] = fill
         if fill < L:
-            index.put(sample_id, L - fill)
+            residual = L - fill
+            heap = open_at.get(residual)
+            if heap is None:
+                open_at[residual] = [sample_id]
+                insort(live, residual)
+            else:
+                heappush(heap, sample_id)
 
     samples = [
         PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)

@@ -2,9 +2,9 @@
 
 ``verify_manifest`` re-checks every invariant a strategy promises —
 sample capacity, exact tiling, per-document coverage discipline, the
-document-head rule, and metric counters — against the corpus the
-manifest claims to describe.  It reports violations as data instead of
-raising, so a caller can show all of them at once.
+document-head rule, the discarded tail, and metric counters — against
+the corpus the manifest claims to describe.  It reports violations as
+data instead of raising, so a caller can show all of them at once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .model import (
     PackingMetrics,
     Placement,
     Strategy,
+    effective_length,
 )
 
 __all__ = ["Violation", "VerificationReport", "verify_manifest"]
@@ -171,6 +172,7 @@ def verify_manifest(
             if first.offset != 0 or first.start != 0:
                 v.append(Violation(i, first.doc_id, "sample must start with a document head"))
 
+    complete: set[str] = set()  # restart_last_document: docs placed whole
     for doc_id, pls in placed.items():
         n = lengths[doc_id]
         if strategy in _FRAGMENT_FREE:
@@ -200,11 +202,50 @@ def verify_manifest(
                 v.append(Violation(None, doc_id, "duplicate coverage"))
             elif partials and fulls and partials[0] >= fulls[0]:
                 v.append(Violation(None, doc_id, "restart precedes its tail fragment"))
+            if fulls:
+                complete.add(doc_id)
 
+    # every document is placed, bar the discarded tail the corpus implies
+    discarded = 0
     if strategy in _FRAGMENT_FREE:
         for doc_id in lengths:
             if doc_id not in placed:
                 v.append(Violation(None, doc_id, "document missing from packing"))
+    elif strategy is Strategy.CONCAT_THEN_SPLIT:
+        stream_len = total_tokens + len(documents) * cfg.separator_cost
+        if cfg.drop_final_partial:
+            want, discarded = divmod(stream_len, L)
+        else:
+            want = -(-stream_len // L)
+        if len(manifest.samples) != want:
+            v.append(
+                Violation(
+                    None,
+                    None,
+                    f"sample count {len(manifest.samples)} is not {want} for a "
+                    f"{stream_len}-token stream",
+                )
+            )
+    else:
+        # restart_last_document: only the documents of a dropped final
+        # sample may lack a whole placement, and they end the corpus
+        k = len(documents)
+        if cfg.drop_final_partial:
+            while k and documents[k - 1].doc_id not in complete:
+                k -= 1
+        for d in documents[:k]:
+            if d.doc_id not in complete:
+                v.append(Violation(None, d.doc_id, "document missing from packing"))
+        discarded = sum(effective_length(d.length, cfg) for d in documents[k:])
+    if manifest.discarded_tail_tokens != discarded:
+        v.append(
+            Violation(
+                None,
+                None,
+                f"discarded tail mismatch: manifest says "
+                f"{manifest.discarded_tail_tokens} tokens, corpus gives {discarded}",
+            )
+        )
 
     try:
         recomputed = compute_metrics(list(manifest.samples), list(documents), L)

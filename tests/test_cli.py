@@ -311,17 +311,24 @@ def test_verify_and_emit_reject_wrong_dropped_list(tmp_path, capsys, dropped):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, where",
     [
-        lambda payload: payload["samples"][0].update(padding=[4]),
-        lambda payload: payload["samples"][0]["placements"][0].__setitem__(3, "0"),
-        lambda payload: payload["samples"][0].update(index=7),
-        lambda payload: payload["samples"][0].update(padding=None),
+        (lambda payload: payload["samples"][0].update(padding=[4]), "sample 0"),
+        (lambda payload: payload["samples"][0]["placements"][0].__setitem__(3, "0"), "sample 0"),
+        (lambda payload: payload["samples"][0].update(index=7), "sample 0"),
+        (lambda payload: payload["samples"][0].update(padding=None), "sample 0"),
+        (lambda payload: payload["documents"].update(count="3"), "documents.count"),
+        (lambda payload: payload["documents"].update(dropped="ab"), "documents.dropped"),
+        (lambda payload: payload.update(discarded_tail_tokens="0"), "discarded_tail_tokens"),
+        (lambda payload: payload["metrics"].update(padding_token_count="3"), "metrics.padding_token_count"),
     ],
-    ids=["short_padding", "string_offset", "index_not_position", "null_padding"],
+    ids=[
+        "short_padding", "string_offset", "index_not_position", "null_padding",
+        "string_count", "string_dropped", "string_discarded", "string_metric",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "emit"])
-def test_malformed_manifest_is_exit_2(tmp_path, capsys, edit, command):
+def test_malformed_manifest_is_exit_2(tmp_path, capsys, edit, where, command):
     corpus, manifest_path = _pack_and_tamper(tmp_path, capsys, TOY, ["--strategy", "pld"], edit)
     argv = [command, str(corpus), "--manifest", str(manifest_path)]
     if command == "emit":
@@ -329,7 +336,7 @@ def test_malformed_manifest_is_exit_2(tmp_path, capsys, edit, command):
     code, stdout, stderr = _run(capsys, argv)
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith("error: malformed manifest: sample 0")
+    assert stderr.startswith(f"error: malformed manifest: {where}")
 
 
 def test_compare_table_and_json(tmp_path, capsys):

@@ -7,12 +7,17 @@ online mode.  The ``manifest_to_json`` bytes of all runs of one strategy
 are hashed into one SHA-256.  A refactor that changes any manifest byte
 changes a digest; a deliberate format change must update the table and
 say why.  Every manifest must also read back to the same bytes.
+
+The small sweep never holds many open samples at once, so best_fit has
+one more digest at realistic scale: thousands of log-normal documents
+at L=2048, where hundreds of residual sizes are open together.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +33,8 @@ GOLDEN_SHA256 = {
     Strategy.PAD_LAST_DOCUMENT: "3ecf3f59a3258c23a06e4616a384b29a0698699c0db367f22586189891fbedb9",
     Strategy.BEST_FIT: "edf10e09758c009d1d2cc51d4c1c87a039b839fb90205ed8adcd27f91f7d0bf8",
 }
+
+BEST_FIT_AT_SCALE_SHA256 = "e0b08bb54f79ae448fb7623c4d0b88c312d48e2dceffc99e67d75608ff4f4ddc"
 
 
 def _corpora(seed: int = 20260301, count: int = 200):
@@ -63,3 +70,21 @@ def _digest(strategy: Strategy) -> str:
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
 def test_manifest_bytes_match_frozen_digest(strategy):
     assert _digest(strategy) == GOLDEN_SHA256[strategy]
+
+
+def test_best_fit_bytes_at_scale_match_frozen_digest():
+    # 5000 docs, median ~300 tokens; the few over L are split by policy
+    rng = random.Random(20261018)
+    docs = docs_from_lengths(
+        [max(1, round(rng.lognormvariate(math.log(300), 1.0))) for _ in range(5000)]
+    )
+    h = hashlib.sha256()
+    for online, sep in itertools.product((False, True), (True, False)):
+        cfg = PackingConfig(
+            context_length=2048,
+            strategy=Strategy.BEST_FIT,
+            sep_after_every_doc=sep,
+            online=online,
+        )
+        h.update(manifest_to_json(pack_corpus(docs, cfg)).encode("utf-8"))
+    assert h.hexdigest() == BEST_FIT_AT_SCALE_SHA256

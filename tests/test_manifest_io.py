@@ -86,21 +86,21 @@ def test_rejects_bad_config_values(toy_docs):
 
 def _tampered(toy_docs, edit):
     """pad_last_document on the toy corpus, as JSON, with ``edit``
-    applied to its sample rows: sample 0 holds A and a separator and is
+    applied to its payload: sample 0 holds A and a separator and is
     padded from 4, sample 1 is full, sample 2 is padded from 3."""
     manifest = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     payload = json.loads(manifest_to_json(manifest))
-    edit(payload["samples"])
+    edit(payload)
     return json.dumps(payload)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda s: s[0].update(index=5), "sample 0: index 5 is not its position"),
-        (lambda s: s[0].update(padding=[3, 4]), "sample 0: padding [3, 4] is not [4, 5]"),
-        (lambda s: s[0].update(padding=None), "sample 0: padding null is not [4, 5]"),
-        (lambda s: s[1].update(padding=[5, 5]), "sample 1: padding [5, 5] is not null"),
+        (lambda p: p["samples"][0].update(index=5), "sample 0: index 5 is not its position"),
+        (lambda p: p["samples"][0].update(padding=[3, 4]), "sample 0: padding [3, 4] is not [4, 5]"),
+        (lambda p: p["samples"][0].update(padding=None), "sample 0: padding null is not [4, 5]"),
+        (lambda p: p["samples"][1].update(padding=[5, 5]), "sample 1: padding [5, 5] is not null"),
     ],
     ids=["index_not_position", "padding_not_suffix", "null_padding_under_full", "padding_on_full"],
 )
@@ -112,19 +112,31 @@ def test_rejects_tampered_index_or_padding(toy_docs, edit, message):
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda s: s[0].update(padding=[4]),
-        lambda s: s[0].update(padding=[4.0, 5]),
-        lambda s: s[1].update(index=True),
-        lambda s: s[0]["placements"][0].__setitem__(3, "0"),
-        lambda s: s[0]["placements"][0].__setitem__(1, False),
-        lambda s: s[0]["placements"][0].pop(),
-        lambda s: s[0]["placements"].__setitem__(0, "A034"),
-        lambda s: s[0].update(separators=[3.0]),
-        lambda s: s[0].update(separators=3),
+        lambda p: p["samples"][0].update(padding=[4]),
+        lambda p: p["samples"][0].update(padding=[4.0, 5]),
+        lambda p: p["samples"][1].update(index=True),
+        lambda p: p["samples"][0]["placements"][0].__setitem__(3, "0"),
+        lambda p: p["samples"][0]["placements"][0].__setitem__(1, False),
+        lambda p: p["samples"][0]["placements"][0].pop(),
+        lambda p: p["samples"][0]["placements"].__setitem__(0, "A034"),
+        lambda p: p["samples"][0].update(separators=[3.0]),
+        lambda p: p["samples"][0].update(separators=3),
+        lambda p: p["documents"].update(count="3"),
+        lambda p: p["documents"].update(total_tokens=9.0),
+        lambda p: p["documents"].update(dropped="ab"),
+        lambda p: p["documents"].update(dropped=[7]),
+        lambda p: p.update(discarded_tail_tokens="0"),
+        lambda p: p["metrics"].update(padding_token_count="3"),
+        lambda p: p["metrics"].update(sample_count=True),
+        lambda p: p["metrics"].update(padding_rate="0.2"),
+        lambda p: p["metrics"].update(fragmentation_rate=False),
     ],
     ids=[
         "short_padding", "float_padding", "bool_index", "string_offset", "bool_start",
         "short_placement", "string_placement", "float_separator", "int_separators",
+        "string_count", "float_total_tokens", "string_dropped", "int_dropped_id",
+        "string_discarded", "string_metric_counter", "bool_metric_counter",
+        "string_rate", "bool_rate",
     ],
 )
 def test_rejects_malformed_sample_fields(toy_docs, edit):

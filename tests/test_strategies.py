@@ -3,11 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpack import (
     CapacityError,
     LongDocPolicy,
     Strategy,
+    effective_length,
     pack_corpus,
 )
 from seqpack.manifest_io import manifest_to_json
@@ -275,6 +278,50 @@ def test_best_fit_matches_naive_quadratic_on_random_corpora():
         got = pack_corpus(docs, cfg)
         want = simulate_reference(docs, cfg, Strategy.BEST_FIT)
         assert got.metrics == want
+
+
+@st.composite
+def _best_fit_cases(draw):
+    """A context length up to 8192 and up to 150 document lengths, drawn
+    partly from a small palette so residual ties are common."""
+    L = draw(st.integers(2, 8192))
+    palette = draw(st.lists(st.integers(1, L), min_size=1, max_size=5))
+    free = st.integers(1, draw(st.integers(1, L)))
+    lengths = draw(st.lists(st.one_of(st.sampled_from(palette), free), max_size=150))
+    cfg = make_config(
+        Strategy.BEST_FIT,
+        context_length=L,
+        sep_after_every_doc=draw(st.booleans()),
+        online=draw(st.booleans()),
+    )
+    return docs_from_lengths(lengths), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_best_fit_cases())
+def test_best_fit_picks_smallest_sufficient_residual_lowest_id(case):
+    docs, cfg = case
+    L = cfg.context_length
+    m = pack_best_fit(docs, cfg)
+    where = {p.doc_id: (i, p.offset) for i, s in enumerate(m.samples) for p in s.placements}
+
+    order = docs
+    if not cfg.online:
+        order = sorted(docs, key=lambda d: (-effective_length(d.length, cfg), d.doc_id))
+    residuals: list[int] = []  # per sample opened so far
+    for doc in order:
+        eff = effective_length(doc.length, cfg)
+        sample, offset = where[doc.doc_id]
+        fits = [(r, i) for i, r in enumerate(residuals) if r >= eff]
+        if fits:
+            assert sample == min(fits)[1], f"{doc.doc_id} not in the tightest open sample"
+        else:
+            assert sample == len(residuals), f"{doc.doc_id} did not open the next sample"
+            residuals.append(L)
+        assert offset == L - residuals[sample]
+        residuals[sample] -= eff
+    assert len(m.samples) == len(residuals)
+    assert [L - s.occupied_tokens for s in m.samples] == residuals
 
 
 # --- shared properties -------------------------------------------------------

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
+
 from seqpack import (
     LongDocPolicy,
     Placement,
@@ -11,6 +13,7 @@ from seqpack import (
     verify_manifest,
 )
 from seqpack.longdoc import apply_policy
+from seqpack.metrics import compute_metrics
 
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
 
@@ -184,7 +187,6 @@ def test_detects_empty_sample(toy_docs):
 
 
 def test_detects_restart_order_violation():
-    from seqpack.metrics import compute_metrics
     from seqpack.model import CorpusSummary, PackedSample, PackingManifest
 
     # a manifest claiming the full copy came before the tail fragment
@@ -196,6 +198,43 @@ def test_detects_restart_order_violation():
     bad = PackingManifest(cfg, CorpusSummary(1, 4), (s0, s1), metrics, 0)
     msgs = _messages(verify_manifest(bad, docs))
     assert "restart precedes its tail fragment" in msgs
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        (Strategy.RESTART_LAST_DOCUMENT, "document missing from packing"),
+        (Strategy.CONCAT_THEN_SPLIT, "sample count 2 is not 3 for a 15-token stream"),
+    ],
+    ids=["restart", "concat"],
+)
+def test_detects_missing_middle_sample(strategy, message):
+    # every document fills one sample whole; sample 1 (d1) is removed and
+    # the metrics recomputed, so only coverage can tell
+    docs = docs_from_lengths([4, 4, 4])
+    manifest = pack_corpus(docs, make_config(strategy))
+    assert len(manifest.samples) == 3
+    samples = (manifest.samples[0], manifest.samples[2])
+    metrics = compute_metrics(list(samples), docs, 5)
+    bad = replace(manifest, samples=samples, metrics=metrics)
+    assert message in _messages(verify_manifest(bad, docs))
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+def test_detects_wrong_discarded_tail(toy_docs, strategy):
+    manifest, docs = _pack(toy_docs, strategy)
+    want = manifest.discarded_tail_tokens
+    bad = replace(manifest, discarded_tail_tokens=999)
+    msgs = _messages(verify_manifest(bad, docs))
+    assert f"discarded tail mismatch: manifest says 999 tokens, corpus gives {want}" in msgs
+
+
+def test_restart_kept_tail_must_place_every_document(toy_docs):
+    # with the final sample kept, the dropped-tail suffix must be empty
+    manifest, docs = _pack(toy_docs, Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
+    bad = replace(manifest, samples=manifest.samples[:-1])
+    bad = replace(bad, metrics=compute_metrics(list(bad.samples), docs, 5))
+    assert [v.doc_id for v in verify_manifest(bad, docs).violations] == ["C"]
 
 
 def test_violation_str_includes_location():
