@@ -126,9 +126,9 @@ def decode_samples(
     """Read a sample stream back and reassemble each document's tokens
     from its placements.
 
-    Raises on truncation, header/manifest disagreement, boundary plane
-    mismatch, inconsistent duplicate coverage, and (when an expected
-    checksum is given) checksum mismatch.
+    Raises on truncation, header/manifest disagreement, a placement no
+    sample can hold, boundary plane mismatch, inconsistent duplicate
+    coverage, coverage gaps and (given an expected one) checksum mismatch.
     """
     digest = hashlib.sha256()
 
@@ -155,7 +155,22 @@ def decode_samples(
             f"length {cfg.context_length}"
         )
 
-    pieces: dict[str, list[tuple[int, int, np.ndarray]]] = {}
+    # doc_id -> [covered length, tokens placed]: every placement must fit a
+    # sample, and a buffer is allocated only for a length they can cover
+    covered: dict[str, list[int]] = {}
+    for sample in manifest.samples:
+        for p in sample.placements:
+            n = p.end - p.start
+            if not (0 <= p.start < p.end and 0 <= p.offset <= L - n):
+                raise DecodeError(f"{p} does not fit a sample of length {L}")
+            c = covered.setdefault(p.doc_id, [0, 0])
+            c[0], c[1] = max(c[0], p.end), c[1] + n
+    for doc_id, (end, placed) in covered.items():
+        if placed < end:
+            raise DecodeError(f"coverage gap while reassembling {doc_id!r}")
+    documents = {d: np.zeros(end, dtype="<u4") for d, (end, _) in covered.items()}
+    seen = {d: np.zeros(end, dtype=bool) for d, (end, _) in covered.items()}
+
     zero_mask = 0
     for i, sample in enumerate(manifest.samples):
         tokens = np.frombuffer(read(4 * L, "token plane"), dtype="<u4")
@@ -163,37 +178,26 @@ def decode_samples(
         zero_mask += int(np.count_nonzero(mask == 0))
         (count,) = _COUNT.unpack(read(_COUNT.size, "boundary count"))
         boundaries = np.frombuffer(read(4 * count, "boundary plane"), dtype="<u4")
-        if count != len(sample.placements) or any(
-            int(b) != p.offset for b, p in zip(boundaries, sample.placements)
-        ):
+        if boundaries.tolist() != [p.offset for p in sample.placements]:
             raise DecodeError(
                 f"manifest/stream mismatch: boundary plane of sample "
                 f"{i} disagrees with placements"
             )
         for p in sample.placements:
             segment = tokens[p.offset : p.offset + (p.end - p.start)]
-            pieces.setdefault(p.doc_id, []).append((p.start, p.end, segment))
+            buf = documents[p.doc_id][p.start : p.end]
+            overlap = seen[p.doc_id][p.start : p.end]
+            if overlap.any() and not np.array_equal(buf[overlap], segment[overlap]):
+                raise DecodeError(f"inconsistent duplicate coverage of {p.doc_id!r}")
+            buf[:] = segment
+            overlap[:] = True
 
     if stream.read(1):
         raise DecodeError("trailing bytes after final sample")
     checksum = digest.hexdigest()
     if expected_checksum is not None and checksum != expected_checksum:
         raise DecodeError("checksum mismatch")
-
-    documents: dict[str, np.ndarray] = {}
-    for doc_id, parts in pieces.items():
-        covered_to = max(end for _, end, _ in parts)
-        buf = np.zeros(covered_to, dtype="<u4")
-        seen = np.zeros(covered_to, dtype=bool)
-        for start, end, segment in sorted(parts, key=lambda t: (t[0], t[1])):
-            overlap = seen[start:end]
-            if overlap.any() and not np.array_equal(
-                buf[start:end][overlap], segment[overlap]
-            ):
-                raise DecodeError(f"inconsistent duplicate coverage of {doc_id!r}")
-            buf[start:end] = segment
-            seen[start:end] = True
-        if not seen.all():
+    for doc_id, mask in seen.items():
+        if not mask.all():
             raise DecodeError(f"coverage gap while reassembling {doc_id!r}")
-        documents[doc_id] = buf
     return DecodeResult(documents, zero_mask, checksum)

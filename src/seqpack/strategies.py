@@ -6,8 +6,9 @@ All four are deterministic — identical corpus order and config give an
 identical manifest.
 
 Capacity accounting is shared: a document charges its token count plus
-one trailing separator (see :func:`seqpack.model.effective_length`);
-the separator is charged to the same sample as its document.
+one trailing separator (see :func:`seqpack.model.effective_length`).
+The three whole-document strategies charge it to its document's sample;
+concat_then_split cuts the stream, separators included.
 """
 
 from __future__ import annotations

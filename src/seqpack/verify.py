@@ -100,11 +100,14 @@ def verify_manifest(
     # in manifest order (offset order too, unless "placements out of order")
     placed: dict[str, list[tuple[int, Placement]]] = {}
     for i, sample in enumerate(manifest.samples):
-        if not sample.placements:
+        # a head-rule sample starts with a placement; a concat_then_split one
+        # may hold only a separator (the kept tail of a k*L + 1 token stream)
+        if not sample.placements and (strategy in _HEAD_RULE or not sample.separator_positions):
             v.append(Violation(i, None, "sample has no placements"))
             continue
 
-        spans: list[tuple[int, int]] = []
+        # (offset, is separator, end) of every in-range piece of the sample
+        pieces: list[tuple[int, bool, int]] = []
         last_offset = -1
         for p in sample.placements:
             if p.offset <= last_offset:
@@ -134,40 +137,32 @@ def verify_manifest(
                     )
                 )
                 continue
-            spans.append((p.offset, p.offset + p.end - p.start))
+            pieces.append((p.offset, False, p.offset + p.end - p.start))
             placed.setdefault(p.doc_id, []).append((i, p))
 
         for off in sample.separator_positions:
-            if not 0 <= off < L:
+            if 0 <= off < L:
+                pieces.append((off, True, off + 1))
+            else:
                 v.append(Violation(i, None, f"separator position {off} out of range"))
-                continue
-            if any(a <= off < b for a, b in spans):
-                v.append(Violation(i, None, f"separator at {off} inside a placement"))
-            spans.append((off, off + 1))
 
-        spans.sort()
-        overlap = any(spans[j][1] > spans[j + 1][0] for j in range(len(spans) - 1))
-        if overlap:
-            v.append(Violation(i, None, "overlapping spans within sample"))
+        # the pieces must tile [0, occupied) with no gap and no overlap; every
+        # piece lies inside [0, L), so occupancy cannot exceed L
+        occupied = 0
+        for a, is_separator, b in sorted(pieces):
+            if a > occupied:
+                v.append(Violation(i, None, f"gap in sample at offset {occupied}"))
+            elif a < occupied and is_separator:
+                v.append(Violation(i, None, f"separator at {a} inside a placement"))
+            elif a < occupied:
+                v.append(Violation(i, None, "overlapping spans within sample"))
+            occupied = max(occupied, b)
 
-        occupied = sum(b - a for a, b in spans)
-        if occupied > L:
-            v.append(Violation(i, None, f"sample occupancy {occupied} exceeds context length {L}"))
-        elif not overlap:
-            cursor = 0
-            for a, b in spans:
-                if a != cursor:
-                    v.append(Violation(i, None, f"gap in sample at offset {cursor}"))
-                    break
-                cursor = b
-
-        if occupied < L and cfg.drop_final_partial and strategy in (
-            Strategy.CONCAT_THEN_SPLIT,
-            Strategy.RESTART_LAST_DOCUMENT,
-        ):
+        # the fragmenting strategies fill every sample they keep
+        if occupied < L and cfg.drop_final_partial and strategy not in _FRAGMENT_FREE:
             v.append(Violation(i, None, "unexpected padding under zero-padding strategy"))
 
-        if strategy in _HEAD_RULE and sample.placements:
+        if strategy in _HEAD_RULE:
             first = sample.placements[0]
             if first.offset != 0 or first.start != 0:
                 v.append(Violation(i, first.doc_id, "sample must start with a document head"))

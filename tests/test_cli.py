@@ -198,6 +198,33 @@ def test_emit_with_decode_check(tmp_path, capsys):
     assert out.stat().st_size == 20 + 3 * (20 + 5 + 2 + 4)
 
 
+def test_cts_kept_separator_only_sample_verifies_and_emits(tmp_path, capsys):
+    # a 4-token document plus its separator is a k*L + 1 stream at L=4: the
+    # kept final sample holds only the separator
+    corpus, _ = write_token_corpus(tmp_path, [4], random.Random(76))
+    manifest_path = tmp_path / "m.json"
+    code, _, _ = _run(
+        capsys,
+        [
+            "pack", "--context-length", "4", "--strategy", "cts", "--no-final-drop",
+            str(corpus), "--out", str(manifest_path),
+        ],
+    )
+    assert code == 0
+    last = json.loads(manifest_path.read_text())["samples"][-1]
+    assert (last["placements"], last["separators"]) == ([], [0])
+
+    code, stdout, _ = _run(capsys, ["verify", str(corpus), "--manifest", str(manifest_path)])
+    assert (code, stdout) == (0, "ok\n")
+    out = tmp_path / "samples.bin"
+    code, stdout, stderr = _run(
+        capsys,
+        ["emit", str(corpus), "--manifest", str(manifest_path), "--out", str(out), "--decode-check"],
+    )
+    assert (code, stderr) == (0, "")
+    assert stdout.splitlines()[1] == "decode-check: ok (1 documents)"
+
+
 def test_emit_is_deterministic_on_disk(tmp_path, capsys):
     rng = random.Random(72)
     corpus, _ = write_token_corpus(tmp_path, TOY, rng)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import io
+import itertools
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqpack import (
     DecodeError,
@@ -17,6 +21,7 @@ from seqpack import (
     pack_corpus,
 )
 from seqpack.emitter import MAGIC, VERSION
+from seqpack.longdoc import apply_policy
 from seqpack.model import PackedSample, Placement
 
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
@@ -176,6 +181,25 @@ def test_decode_rejects_other_plane_flags(toy_docs):
             decode_samples(io.BytesIO(tampered), m)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"end": 6}, "does not fit a sample of length 5"),
+        ({"start": 2**40, "end": 2**40 + 3}, "coverage gap while reassembling 'A'"),
+    ],
+    ids=["end_past_L", "start_at_2**40"],
+)
+def test_decode_checks_placement_before_use(toy_docs, change, message):
+    # a sound stream read against a manifest whose first placement (A's three
+    # tokens at offset 0) was edited: no numpy error, no huge buffer
+    m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
+    blob, summary = _emit(m)
+    first = replace(m.samples[0].placements[0], **change)
+    bad = replace(m, samples=(replace(m.samples[0], placements=(first,)),) + m.samples[1:])
+    with pytest.raises(DecodeError, match=message):
+        decode_samples(io.BytesIO(blob), bad, summary.checksum)
+
+
 def test_emit_rejects_short_token_store(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
 
@@ -193,8 +217,6 @@ def test_emit_rejects_boundary_overflow(toy_docs):
     many = tuple(
         Placement("A", 0, 1, 0) for _ in range(65536)
     )
-    from dataclasses import replace
-
     bad = replace(m, samples=(replace(m.samples[0], placements=many),) + m.samples[1:])
     with pytest.raises(EmitError, match="boundary plane holds at most"):
         emit_samples(bad, _toy_store(), io.BytesIO())
@@ -230,3 +252,55 @@ def test_decode_empty_stream_round_trip():
     result = decode_samples(io.BytesIO(blob), m, summary.checksum)
     assert result.documents == {}
     assert result.zero_mask_tokens == 0
+
+
+@st.composite
+def _damaged_streams(draw):
+    """A small corpus packed under any strategy and emitted, then damaged
+    in one way: truncated, one bit flipped, two differing samples swapped,
+    or one byte appended."""
+    L = draw(st.integers(2, 12))
+    lengths = draw(st.lists(st.integers(1, 2 * L), max_size=12))
+    cfg = make_config(
+        draw(st.sampled_from(ALL_STRATEGIES)),
+        context_length=L,
+        sep_after_every_doc=draw(st.booleans()),
+        drop_final_partial=draw(st.booleans()),
+    )
+    docs = docs_from_lengths(lengths)
+    m = pack_corpus(docs, cfg)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    store = InMemoryTokenStore(
+        {d.doc_id: [rng.randrange(2, 2**31) for _ in range(d.length)] for d in apply_policy(docs, cfg)[0]}
+    )
+    blob, summary = _emit(m, store)
+    kind = draw(st.sampled_from(["truncate", "flip", "swap", "append"]))
+    if kind == "truncate":
+        damaged = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif kind == "flip":
+        bit = draw(st.integers(0, 8 * len(blob) - 1))
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "swap":
+        spans, pos = [], HEADER.size
+        for sample in m.samples:
+            size = 5 * L + 2 + 4 * len(sample.placements)
+            spans.append((pos, pos + size))
+            pos += size
+        pairs = [
+            (a, b) for a, b in itertools.combinations(spans, 2) if blob[a[0] : a[1]] != blob[b[0] : b[1]]
+        ]
+        assume(pairs)
+        (a0, a1), (b0, b1) = draw(st.sampled_from(pairs))
+        damaged = blob[:a0] + blob[b0:b1] + blob[a1:b0] + blob[a0:a1] + blob[b1:]
+    else:
+        damaged = blob + bytes([draw(st.integers(0, 255))])
+    return m, bytes(damaged), summary.checksum
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_streams())
+def test_damaged_stream_always_raises_decode_error(case):
+    m, damaged, checksum = case
+    with pytest.raises(DecodeError):
+        decode_samples(io.BytesIO(damaged), m, expected_checksum=checksum)

@@ -6,7 +6,8 @@ separator, final-drop and long-document policy; best_fit also runs in
 online mode.  The ``manifest_to_json`` bytes of all runs of one strategy
 are hashed into one SHA-256.  A refactor that changes any manifest byte
 changes a digest; a deliberate format change must update the table and
-say why.  Every manifest must also read back to the same bytes.
+say why.  Every manifest must also read back to the same bytes and pass
+``verify_manifest``.
 
 The small sweep never holds many open samples at once, so best_fit has
 one more digest at realistic scale: thousands of log-normal documents
@@ -22,7 +23,8 @@ import random
 
 import pytest
 
-from seqpack import LongDocPolicy, PackingConfig, Strategy, pack_corpus
+from seqpack import LongDocPolicy, PackingConfig, Strategy, pack_corpus, verify_manifest
+from seqpack.longdoc import apply_policy
 from seqpack.manifest_io import manifest_from_json, manifest_to_json
 
 from util import ALL_STRATEGIES, docs_from_lengths
@@ -61,8 +63,10 @@ def _digest(strategy: Strategy) -> str:
                 drop_final_partial=drop_final,
                 online=online,
             )
-            text = manifest_to_json(pack_corpus(docs, cfg))
+            manifest = pack_corpus(docs, cfg)
+            text = manifest_to_json(manifest)
             assert manifest_to_json(manifest_from_json(text)) == text
+            assert verify_manifest(manifest, apply_policy(docs, cfg)[0]).ok
             h.update(text.encode("utf-8"))
     return h.hexdigest()
 

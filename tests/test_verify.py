@@ -146,22 +146,51 @@ def test_detects_overlapping_spans(toy_docs):
     assert "overlapping spans" in msgs or "out of order" in msgs
 
 
-def test_detects_gap(toy_docs):
+# each case adds one kind of separator damage next to the pinned violation;
+# the damage must not hide it, and is reported itself (L=5)
+@pytest.mark.parametrize(
+    "separators, extra",
+    [
+        ((4,), None),
+        ((-1, 4), "separator position -1 out of range"),
+        ((4, 5), "separator position 5 out of range"),
+        ((4, 8), "separator position 8 out of range"),
+        ((4, 4), "separator at 4 inside a placement"),
+        ((4, 2), "separator at 2 inside a placement"),
+    ],
+    ids=["pinned", "below_zero", "at_L", "past_L", "duplicated", "out_of_order"],
+)
+def test_detects_gap(toy_docs, separators, extra):
     manifest, docs = _pack(toy_docs, Strategy.RESTART_LAST_DOCUMENT)
     # sample 1 holds B[0,4)+sep; shrink B to [0,3) at offset 0 and move the
     # separator to 4, leaving offset 3 uncovered
     sample = manifest.samples[1]
     shrunk = replace(sample.placements[0], end=3)
-    bad = _tamper_sample(manifest, 1, placements=(shrunk,), separator_positions=(4,))
+    bad = _tamper_sample(manifest, 1, placements=(shrunk,), separator_positions=separators)
     msgs = _messages(verify_manifest(bad, docs))
     assert "gap in sample at offset 3" in msgs
+    assert extra is None or extra in msgs
 
 
-def test_detects_separator_inside_placement(toy_docs):
+@pytest.mark.parametrize(
+    "separators, extra",
+    [
+        ((1,), None),
+        ((-1, 1), "separator position -1 out of range"),
+        ((1, 5), "separator position 5 out of range"),
+        ((1, 8), "separator position 8 out of range"),
+        ((1, 3, 3), "separator at 3 inside a placement"),
+        ((3, 1), None),
+    ],
+    ids=["pinned", "below_zero", "at_L", "past_L", "duplicated", "out_of_order"],
+)
+def test_detects_separator_inside_placement(toy_docs, separators, extra):
+    # sample 0 holds A[0,3) at 0, its separator at 3, then B[0,1) at 4
     manifest, docs = _pack(toy_docs, Strategy.CONCAT_THEN_SPLIT)
-    bad = _tamper_sample(manifest, 0, separator_positions=(1,))
+    bad = _tamper_sample(manifest, 0, separator_positions=separators)
     msgs = _messages(verify_manifest(bad, docs))
     assert "separator at 1 inside a placement" in msgs
+    assert extra is None or extra in msgs
 
 
 def test_detects_corpus_summary_mismatch(toy_docs):
