@@ -11,7 +11,7 @@ from .corpus import (
     ingest_corpus,
 )
 from .emitter import DecodeResult, EmitSummary, decode_samples, emit_samples
-from .longdoc import apply_policy, preprocess_drop, preprocess_slide, preprocess_split
+from .longdoc import apply_policy, preprocess_slide, preprocess_split
 from .manifest_io import (
     manifest_from_json,
     manifest_to_json,
@@ -100,7 +100,6 @@ __all__ = [
     "pack_corpus",
     "pack_pad_last_document",
     "pack_restart_last_document",
-    "preprocess_drop",
     "preprocess_slide",
     "preprocess_split",
     "read_manifest",

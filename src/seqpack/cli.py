@@ -230,7 +230,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_emit(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     corpus_path = Path(args.corpus)
-    # the emitter trusts the plan: refuse any manifest that fails verification
+    # emit checks sample layouts, not the plan against the corpus: verify first
     retained, problems = _check_manifest(manifest, ingest_corpus(corpus_path, mode="full"))
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""

@@ -60,7 +60,7 @@ def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
     if "token_file" in obj or "offset" in obj:
         token_file = obj.get("token_file")
         offset = obj.get("offset")
-        if not isinstance(token_file, str) or not isinstance(offset, int) or offset < 0:
+        if not isinstance(token_file, str) or type(offset) is not int or offset < 0:
             raise CorpusError(f"line {line_no}: invalid token_file/offset for {doc_id!r}")
         ref = TokenRef(token_file, offset)
     return doc_id, length, ref

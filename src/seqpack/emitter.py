@@ -26,6 +26,7 @@ from typing import IO, Protocol
 import numpy as np
 
 from .model import DecodeError, EmitError, PackingManifest
+from .verify import _sample_layout
 
 __all__ = [
     "MAGIC",
@@ -87,9 +88,16 @@ def emit_samples(
 
     out(_HEADER.pack(MAGIC, VERSION, _PLANE_FLAGS, L, len(manifest.samples)))
     for i, sample in enumerate(manifest.samples):
+        if len(sample.placements) > _MAX_BOUNDARIES:
+            raise EmitError(
+                f"sample {i} has {len(sample.placements)} "
+                f"placements; the boundary plane holds at most {_MAX_BOUNDARIES}"
+            )
+        occupied, problems = _sample_layout(i, sample, L)
+        if problems:
+            raise EmitError(str(problems[0]))
         tokens = np.full(L, cfg.padding_id, dtype="<u4")
         mask = np.ones(L, dtype=np.uint8)
-        occupied = len(sample.separator_positions)
         for p in sample.placements:
             n = p.end - p.start
             piece = token_store.get(p.doc_id, p.start, p.end)
@@ -99,17 +107,11 @@ def emit_samples(
                     f"range [{p.start}, {p.end})"
                 )
             tokens[p.offset : p.offset + n] = piece
-            occupied += n
         for off in sample.separator_positions:
             tokens[off] = cfg.separator_id
             if mask_separators:
                 mask[off] = 0
         mask[occupied:] = 0
-        if len(sample.placements) > _MAX_BOUNDARIES:
-            raise EmitError(
-                f"sample {i} has {len(sample.placements)} "
-                f"placements; the boundary plane holds at most {_MAX_BOUNDARIES}"
-            )
         boundaries = np.array([p.offset for p in sample.placements], dtype="<u4")
         out(tokens.tobytes())
         out(mask.tobytes())
@@ -126,9 +128,9 @@ def decode_samples(
     """Read a sample stream back and reassemble each document's tokens
     from its placements.
 
-    Raises on truncation, header/manifest disagreement, a placement no
-    sample can hold, boundary plane mismatch, inconsistent duplicate
-    coverage, coverage gaps and (given an expected one) checksum mismatch.
+    Raises on truncation, header/manifest disagreement, a sample layout
+    ``verify_manifest`` would reject, boundary plane mismatch, inconsistent
+    duplicate coverage, coverage gaps and (given one) checksum mismatch.
     """
     digest = hashlib.sha256()
 
@@ -155,16 +157,16 @@ def decode_samples(
             f"length {cfg.context_length}"
         )
 
-    # doc_id -> [covered length, tokens placed]: every placement must fit a
-    # sample, and a buffer is allocated only for a length they can cover
+    # doc_id -> [covered length, tokens placed]: every sample must pass the
+    # layout rule, and a buffer is allocated only for a length they can cover
     covered: dict[str, list[int]] = {}
-    for sample in manifest.samples:
+    for i, sample in enumerate(manifest.samples):
+        problems = _sample_layout(i, sample, L)[1]
+        if problems:
+            raise DecodeError(str(problems[0]))
         for p in sample.placements:
-            n = p.end - p.start
-            if not (0 <= p.start < p.end and 0 <= p.offset <= L - n):
-                raise DecodeError(f"{p} does not fit a sample of length {L}")
             c = covered.setdefault(p.doc_id, [0, 0])
-            c[0], c[1] = max(c[0], p.end), c[1] + n
+            c[0], c[1] = max(c[0], p.end), c[1] + p.end - p.start
     for doc_id, (end, placed) in covered.items():
         if placed < end:
             raise DecodeError(f"coverage gap while reassembling {doc_id!r}")

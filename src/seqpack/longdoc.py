@@ -1,7 +1,8 @@
 """Policies for documents longer than the context length.
 
-All three handlers are pure: they take document records and return
-document records, leaving short documents untouched.  Chunks derived
+The split and slide handlers are pure: they take a document record and
+return document records, leaving short documents untouched; the drop
+policy is applied by ``apply_policy`` alone.  Chunks derived
 from an over-length document inherit the parent id with a ``#<k>``
 suffix and carry token locators adjusted to the covered range, so a
 derived corpus still resolves against the original token store.
@@ -19,7 +20,7 @@ from .model import (
     TokenRef,
 )
 
-__all__ = ["preprocess_split", "preprocess_slide", "preprocess_drop", "apply_policy"]
+__all__ = ["preprocess_split", "preprocess_slide", "apply_policy"]
 
 
 def _chunk(doc: DocumentRecord, index: int, start: int, end: int) -> DocumentRecord:
@@ -70,11 +71,6 @@ def preprocess_slide(
             break
         starts.append(nxt)
     return [_chunk(doc, k, s, s + context_length) for k, s in enumerate(starts)]
-
-
-def preprocess_drop(doc: DocumentRecord, context_length: int) -> DocumentRecord | None:
-    """Return the document iff it fits the context length, else None."""
-    return doc if doc.length <= context_length else None
 
 
 def apply_policy(

@@ -126,22 +126,27 @@ class PackingConfig:
     online: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.strategy, str) and not isinstance(self.strategy, Strategy):
-            try:
-                object.__setattr__(self, "strategy", Strategy(self.strategy))
-            except ValueError:
-                raise ConfigError(f"unknown strategy {self.strategy!r}") from None
-        if isinstance(self.long_doc_policy, str) and not isinstance(
-            self.long_doc_policy, LongDocPolicy
-        ):
-            try:
-                object.__setattr__(
-                    self, "long_doc_policy", LongDocPolicy(self.long_doc_policy)
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"unknown long-document policy {self.long_doc_policy!r}"
-                ) from None
+        try:
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        except ValueError:
+            raise ConfigError(f"unknown strategy {self.strategy!r}") from None
+        try:
+            object.__setattr__(self, "long_doc_policy", LongDocPolicy(self.long_doc_policy))
+        except ValueError:
+            raise ConfigError(
+                f"unknown long-document policy {self.long_doc_policy!r}"
+            ) from None
+        # the ids and the context length are uint32 fields of the sample format
+        for name in ("context_length", "separator_id", "padding_id"):
+            value = getattr(self, name)
+            if type(value) is not int or not 0 <= value < 2**32:
+                raise ConfigError(f"{name} must be an integer in [0, 2**32), got {value!r}")
+        if self.slide_overlap is not None and type(self.slide_overlap) is not int:
+            raise ConfigError(f"slide_overlap must be an integer, got {self.slide_overlap!r}")
+        for name in ("sep_after_every_doc", "drop_final_partial", "online"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if self.context_length < 2:
             raise ConfigError(
                 f"context_length must be at least 2, got {self.context_length}"

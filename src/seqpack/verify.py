@@ -15,6 +15,7 @@ from typing import Sequence
 from .metrics import compute_metrics
 from .model import (
     DocumentRecord,
+    PackedSample,
     PackingManifest,
     PackingMetrics,
     Placement,
@@ -57,6 +58,44 @@ class VerificationReport:
         return not self.violations
 
 
+def _sample_layout(i: int, sample: PackedSample, L: int) -> tuple[int, list[Violation]]:
+    """Sample ``i``'s occupancy and layout problems, judged by ``L`` alone:
+    placements in offset order, each a non-empty range inside ``[0, L)``,
+    separators inside ``[0, L)``, all tiling ``[0, occupied)`` exactly."""
+    problems: list[tuple[str | None, str]] = []
+    # (offset, is separator, end) of every in-range piece of the sample
+    pieces: list[tuple[int, bool, int]] = []
+    last_offset = -1
+    for p in sample.placements:
+        if p.offset <= last_offset:
+            problems.append((p.doc_id, "placements out of order"))
+        last_offset = p.offset
+        n = p.end - p.start
+        if p.start < 0 or n <= 0:
+            problems.append((p.doc_id, f"bad placement range [{p.start}, {p.end})"))
+        elif p.offset < 0 or p.offset + n > L:
+            problems.append((p.doc_id, f"capacity exceeded: offset {p.offset} + length {n} > {L}"))
+        else:
+            pieces.append((p.offset, False, p.offset + n))
+    for off in sample.separator_positions:
+        if 0 <= off < L:
+            pieces.append((off, True, off + 1))
+        else:
+            problems.append((None, f"separator position {off} out of range"))
+
+    # every piece lies inside [0, L), so occupancy cannot exceed L
+    occupied = 0
+    for a, is_separator, b in sorted(pieces):
+        if a > occupied:
+            problems.append((None, f"gap in sample at offset {occupied}"))
+        elif a < occupied and is_separator:
+            problems.append((None, f"separator at {a} inside a placement"))
+        elif a < occupied:
+            problems.append((None, "overlapping spans within sample"))
+        occupied = max(occupied, b)
+    return occupied, [Violation(i, doc_id, message) for doc_id, message in problems]
+
+
 def verify_manifest(
     manifest: PackingManifest, documents: Sequence[DocumentRecord]
 ) -> VerificationReport:
@@ -96,8 +135,8 @@ def verify_manifest(
         if doc_id in lengths:
             v.append(Violation(None, doc_id, "dropped document still in corpus"))
 
-    # doc_id -> (sample position, placement) for every in-bounds placement,
-    # in manifest order (offset order too, unless "placements out of order")
+    # doc_id -> (sample position, placement) for every placement that ends
+    # inside its document, in manifest order; the layout rule judges its start
     placed: dict[str, list[tuple[int, Placement]]] = {}
     for i, sample in enumerate(manifest.samples):
         # a head-rule sample starts with a placement; a concat_then_split one
@@ -106,57 +145,16 @@ def verify_manifest(
             v.append(Violation(i, None, "sample has no placements"))
             continue
 
-        # (offset, is separator, end) of every in-range piece of the sample
-        pieces: list[tuple[int, bool, int]] = []
-        last_offset = -1
+        occupied, problems = _sample_layout(i, sample, L)
+        v.extend(problems)
         for p in sample.placements:
-            if p.offset <= last_offset:
-                v.append(Violation(i, p.doc_id, "placements out of order"))
-            last_offset = p.offset
             n = lengths.get(p.doc_id)
             if n is None:
                 v.append(Violation(i, p.doc_id, "unknown doc_id"))
-                continue
-            if not 0 <= p.start < p.end <= n:
-                v.append(
-                    Violation(
-                        i,
-                        p.doc_id,
-                        f"placement range [{p.start}, {p.end}) outside document "
-                        f"bounds (length {n})",
-                    )
-                )
-                continue
-            if p.offset < 0 or p.offset + (p.end - p.start) > L:
-                v.append(
-                    Violation(
-                        i,
-                        p.doc_id,
-                        f"capacity exceeded: offset {p.offset} + length "
-                        f"{p.end - p.start} > {L}",
-                    )
-                )
-                continue
-            pieces.append((p.offset, False, p.offset + p.end - p.start))
-            placed.setdefault(p.doc_id, []).append((i, p))
-
-        for off in sample.separator_positions:
-            if 0 <= off < L:
-                pieces.append((off, True, off + 1))
+            elif p.end > n:
+                v.append(Violation(i, p.doc_id, f"end {p.end} outside document bounds (length {n})"))
             else:
-                v.append(Violation(i, None, f"separator position {off} out of range"))
-
-        # the pieces must tile [0, occupied) with no gap and no overlap; every
-        # piece lies inside [0, L), so occupancy cannot exceed L
-        occupied = 0
-        for a, is_separator, b in sorted(pieces):
-            if a > occupied:
-                v.append(Violation(i, None, f"gap in sample at offset {occupied}"))
-            elif a < occupied and is_separator:
-                v.append(Violation(i, None, f"separator at {a} inside a placement"))
-            elif a < occupied:
-                v.append(Violation(i, None, "overlapping spans within sample"))
-            occupied = max(occupied, b)
+                placed.setdefault(p.doc_id, []).append((i, p))
 
         # the fragmenting strategies fill every sample they keep
         if occupied < L and cfg.drop_final_partial and strategy not in _FRAGMENT_FREE:

@@ -94,6 +94,31 @@ def test_pack_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys: typo" in stderr
 
 
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ({"context_length": "5"}, [], "context_length must be an integer in [0, 2**32), got '5'"),
+        ({"context_length": 5.5}, [], "context_length must be an integer in [0, 2**32), got 5.5"),
+        ({"context_length": 5, "separator_id": "x"}, [], "separator_id must be an integer in"),
+        ({"context_length": 5}, ["--sep-id", "-1"], "separator_id must be an integer in"),
+        ({"context_length": 5}, ["--pad-id", "4294967297"], "padding_id must be an integer in"),
+    ],
+    ids=["string_length", "float_length", "string_sep_id", "negative_sep_flag", "huge_pad_flag"],
+)
+def test_pack_rejects_mistyped_config(tmp_path, capsys, config, flags, message):
+    corpus = _toy_corpus(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"strategy": "pld", **config}))
+    out = tmp_path / "m.json"
+    code, stdout, stderr = _run(
+        capsys, ["pack", "--config", str(path), *flags, str(corpus), "--out", str(out)]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_pack_requires_context_length(tmp_path, capsys):
     corpus = _toy_corpus(tmp_path)
     code, _, stderr = _run(capsys, ["pack", "--strategy", "cts", str(corpus)])
@@ -348,10 +373,12 @@ def test_verify_and_emit_reject_wrong_dropped_list(tmp_path, capsys, dropped):
         (lambda payload: payload["documents"].update(dropped="ab"), "documents.dropped"),
         (lambda payload: payload.update(discarded_tail_tokens="0"), "discarded_tail_tokens"),
         (lambda payload: payload["metrics"].update(padding_token_count="3"), "metrics.padding_token_count"),
+        (lambda payload: payload["config"].update(separator_id="x"), "separator_id"),
     ],
     ids=[
         "short_padding", "string_offset", "index_not_position", "null_padding",
         "string_count", "string_dropped", "string_discarded", "string_metric",
+        "string_separator_id",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "emit"])

@@ -57,6 +57,14 @@ def test_ingest_rejects_non_integer_length(tmp_path):
         ingest_corpus(path)
 
 
+@pytest.mark.parametrize("offset", ["false", "true", '"0"', "0.0", "-4"])
+def test_ingest_rejects_non_integer_offset(tmp_path, offset):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f'{{"doc_id": "a", "length": 3, "token_file": "t.bin", "offset": {offset}}}\n')
+    with pytest.raises(CorpusError, match=r"line 1: invalid token_file/offset for 'a'"):
+        ingest_corpus(path)
+
+
 def test_ingest_accepts_integer_doc_ids_and_blank_lines(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": 7, "length": 2}\n\n{"doc_id": "x", "length": 1}\n')

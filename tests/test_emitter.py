@@ -184,7 +184,7 @@ def test_decode_rejects_other_plane_flags(toy_docs):
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"end": 6}, "does not fit a sample of length 5"),
+        ({"end": 6}, "sample 0 doc A: capacity exceeded: offset 0 \\+ length 6 > 5"),
         ({"start": 2**40, "end": 2**40 + 3}, "coverage gap while reassembling 'A'"),
     ],
     ids=["end_past_L", "start_at_2**40"],
@@ -220,6 +220,38 @@ def test_emit_rejects_boundary_overflow(toy_docs):
     bad = replace(m, samples=(replace(m.samples[0], placements=many),) + m.samples[1:])
     with pytest.raises(EmitError, match="boundary plane holds at most"):
         emit_samples(bad, _toy_store(), io.BytesIO())
+
+
+@pytest.mark.parametrize(
+    "placements, separators, message",
+    [
+        ((Placement("A", 0, 3, 3),), (3,), "doc A: capacity exceeded: offset 3 \\+ length 3 > 5"),
+        ((Placement("A", -1, 2, 0),), (3,), "doc A: bad placement range \\[-1, 2\\)"),
+        ((Placement("A", 0, 3, 0),), (5,), "separator position 5 out of range"),
+        ((Placement("A", 0, 3, 0),), (-1,), "separator position -1 out of range"),
+        (
+            (Placement("A", 0, 3, 0), Placement("B", 0, 1, 2)),
+            (3,),
+            "overlapping spans within sample",
+        ),
+    ],
+    ids=[
+        "offset_past_L", "negative_start", "separator_at_L", "separator_below_zero",
+        "overlapping_placements",
+    ],
+)
+def test_emit_and_decode_check_sample_layout(toy_docs, placements, separators, message):
+    # sample 0 of a sound 2-document plan at L=5, replaced by a broken layout:
+    # emit writes nothing of it, and decode refuses it before reading a plane
+    m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
+    blob, summary = _emit(m)
+    bad = replace(m, samples=(PackedSample(placements, separators),) + m.samples[1:])
+    sink = io.BytesIO()
+    with pytest.raises(EmitError, match=rf"^sample 0\b.*{message}"):
+        emit_samples(bad, _toy_store(), sink)
+    assert len(sink.getvalue()) == HEADER.size
+    with pytest.raises(DecodeError, match=rf"^sample 0\b.*{message}"):
+        decode_samples(io.BytesIO(blob), bad, summary.checksum)
 
 
 def test_random_round_trips_across_strategies():

@@ -12,7 +12,7 @@ from seqpack import (
     Strategy,
     TokenRef,
 )
-from seqpack.longdoc import apply_policy, preprocess_drop, preprocess_slide, preprocess_split
+from seqpack.longdoc import apply_policy, preprocess_slide, preprocess_split
 
 from util import make_config
 
@@ -86,12 +86,6 @@ def test_slide_covers_every_token_property():
 def test_slide_short_doc_untouched():
     doc = _doc(4)
     assert preprocess_slide(doc, 4, 1) == [doc]
-
-
-def test_drop_filters_only_over_length():
-    assert preprocess_drop(DocumentRecord("a", 3), 4) == DocumentRecord("a", 3)
-    assert preprocess_drop(DocumentRecord("b", 9), 4) is None
-    assert preprocess_drop(DocumentRecord("c", 4), 4) == DocumentRecord("c", 4)
 
 
 def test_apply_policy_split_is_identity_for_short_corpora(toy_docs):

@@ -1,11 +1,29 @@
 from __future__ import annotations
 
+import io
 import json
+import random
 import re
+from contextlib import suppress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqpack import ManifestError, Strategy, pack_corpus
+from seqpack import (
+    DecodeError,
+    EmitError,
+    InMemoryTokenStore,
+    LongDocPolicy,
+    ManifestError,
+    PackingError,
+    Strategy,
+    decode_samples,
+    emit_samples,
+    pack_corpus,
+    verify_manifest,
+)
+from seqpack.longdoc import apply_policy
 from seqpack.manifest_io import (
     MANIFEST_FORMAT,
     manifest_from_json,
@@ -15,7 +33,7 @@ from seqpack.manifest_io import (
     write_manifest,
 )
 
-from util import ALL_STRATEGIES, make_config
+from util import ALL_STRATEGIES, docs_from_lengths, make_config
 
 
 def test_round_trip_preserves_manifest(toy_docs):
@@ -142,6 +160,81 @@ def test_rejects_tampered_index_or_padding(toy_docs, edit, message):
 def test_rejects_malformed_sample_fields(toy_docs, edit):
     with pytest.raises(ManifestError, match="malformed manifest"):
         manifest_from_json(_tampered(toy_docs, edit))
+
+
+@st.composite
+def _packed(draw):
+    """A small random corpus packed under any strategy, policy and flag
+    setting, with the retained documents and a token store for them."""
+    L = draw(st.integers(2, 12))
+    strategy = draw(st.sampled_from(ALL_STRATEGIES))
+    policy = draw(st.sampled_from(LongDocPolicy))
+    cfg = make_config(
+        strategy,
+        context_length=L,
+        long_doc_policy=policy,
+        slide_overlap=draw(st.integers(1, L - 1)) if policy is LongDocPolicy.SLIDE else None,
+        sep_after_every_doc=draw(st.booleans()),
+        drop_final_partial=draw(st.booleans()),
+        online=strategy is Strategy.BEST_FIT and draw(st.booleans()),
+    )
+    docs = docs_from_lengths(draw(st.lists(st.integers(1, 2 * L), max_size=12)))
+    retained = apply_policy(docs, cfg)[0]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    store = InMemoryTokenStore({d.doc_id: [rng.randrange(2, 2**31) for _ in range(d.length)] for d in retained})
+    return pack_corpus(docs, cfg), retained, store
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed())
+def test_json_round_trip_is_identical_and_verifies(case):
+    manifest, retained, _ = case
+    text = manifest_to_json(manifest)
+    back = manifest_from_json(text)
+    assert manifest_to_json(back) == text
+    assert verify_manifest(back, retained).ok
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON payload, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_TAMPER_VALUES = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**32, max_value=2**64),
+    st.text(max_size=4),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_packed(), st.data())
+def test_tampered_json_raises_only_packing_errors(case, data):
+    manifest, retained, store = case
+    sink = io.BytesIO()
+    checksum = emit_samples(manifest, store, sink).checksum
+    payload = json.loads(manifest_to_json(manifest))
+    *parents, key = data.draw(st.sampled_from(list(_paths(payload))))
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    target[key] = data.draw(_TAMPER_VALUES)
+    try:
+        tampered = manifest_from_json(json.dumps(payload))
+    except ManifestError:
+        return
+    with suppress(PackingError):
+        verify_manifest(tampered, retained)
+    with suppress(EmitError):
+        emit_samples(tampered, store, io.BytesIO())
+    with suppress(DecodeError):
+        decode_samples(io.BytesIO(sink.getvalue()), tampered, checksum)
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -56,6 +56,35 @@ def test_config_online_requires_best_fit():
     assert _cfg(online=True).online
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("context_length", "5", "context_length must be an integer in"),
+        ("context_length", 5.5, "context_length must be an integer in"),
+        ("context_length", 2**32, "context_length must be an integer in"),
+        ("separator_id", "x", "separator_id must be an integer in"),
+        ("separator_id", -1, "separator_id must be an integer in"),
+        ("padding_id", 4294967297, "padding_id must be an integer in"),
+        ("padding_id", False, "padding_id must be an integer in"),
+        ("slide_overlap", "2", "slide_overlap must be an integer"),
+        ("slide_overlap", 2.0, "slide_overlap must be an integer"),
+        ("sep_after_every_doc", 1, "sep_after_every_doc must be true or false"),
+        ("drop_final_partial", None, "drop_final_partial must be true or false"),
+        ("online", "yes", "online must be true or false"),
+        ("strategy", 5, "unknown strategy 5"),
+        ("long_doc_policy", None, "unknown long-document policy None"),
+    ],
+)
+def test_config_rejects_wrong_types(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        _cfg(**{field: value})
+
+
+def test_config_accepts_uint32_bounds():
+    cfg = _cfg(context_length=2**32 - 1, separator_id=2**32 - 1, padding_id=0)
+    assert (cfg.context_length, cfg.separator_id) == (2**32 - 1, 2**32 - 1)
+
+
 def test_effective_length_rule():
     cfg = _cfg(context_length=8)
     assert effective_length(3, cfg) == 4
