@@ -11,7 +11,7 @@ from .corpus import (
     ingest_corpus,
 )
 from .emitter import DecodeResult, EmitSummary, decode_samples, emit_samples
-from .longdoc import apply_policy, preprocess_slide, preprocess_split
+from .longdoc import apply_policy
 from .manifest_io import (
     manifest_from_json,
     manifest_to_json,
@@ -20,13 +20,11 @@ from .manifest_io import (
 )
 from .metrics import (
     StrategyComparison,
-    StrategyRow,
     compare_strategies,
     compute_metrics,
     scaled_token_budget,
 )
 from .model import (
-    CapacityError,
     ConfigError,
     CorpusError,
     CorpusSummary,
@@ -46,19 +44,12 @@ from .model import (
     effective_length,
 )
 from .oracle import brute_force_min_bins, simulate_reference
-from .strategies import (
-    pack_best_fit,
-    pack_concat_then_split,
-    pack_corpus,
-    pack_pad_last_document,
-    pack_restart_last_document,
-)
+from .strategies import pack_corpus
 from .verify import VerificationReport, Violation, verify_manifest
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError",
     "ConfigError",
     "CorpusError",
     "CorpusStats",
@@ -80,7 +71,6 @@ __all__ = [
     "Placement",
     "Strategy",
     "StrategyComparison",
-    "StrategyRow",
     "TokenRef",
     "VerificationReport",
     "Violation",
@@ -95,13 +85,7 @@ __all__ = [
     "ingest_corpus",
     "manifest_from_json",
     "manifest_to_json",
-    "pack_best_fit",
-    "pack_concat_then_split",
     "pack_corpus",
-    "pack_pad_last_document",
-    "pack_restart_last_document",
-    "preprocess_slide",
-    "preprocess_split",
     "read_manifest",
     "scaled_token_budget",
     "simulate_reference",

@@ -3,7 +3,7 @@
 Subcommands: ``pack``, ``compare``, ``verify``, ``emit``, ``stats``.
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file, conflicting options, verification failures), 2 corpus or
-manifest/stream errors, 3 strategy precondition violations.
+manifest/stream errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .longdoc import apply_policy
 from .manifest_io import read_manifest, write_bytes_atomic, write_manifest
 from .metrics import compare_strategies
 from .model import (
-    CapacityError,
     ConfigError,
     CorpusError,
     DecodeError,
@@ -40,7 +39,6 @@ from .verify import verify_manifest
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CORPUS = 2
-EXIT_PRECONDITION = 3
 
 _STRATEGY_ALIASES = {
     "cts": Strategy.CONCAT_THEN_SPLIT,
@@ -172,7 +170,9 @@ def _build_config(args: argparse.Namespace, strategy_required: bool = True) -> P
         raise ConfigError("--context-length is required")
     if strategy_required and "strategy" not in values:
         raise ConfigError("--strategy is required")
-    values.setdefault("strategy", Strategy.CONCAT_THEN_SPLIT)
+    # compare's template: every row replaces the strategy, and best_fit
+    # is the one strategy every other field is valid with
+    values.setdefault("strategy", Strategy.BEST_FIT)
     return PackingConfig(**values)
 
 
@@ -272,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, ManifestError, EmitError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except PackingError as exc:  # safety net for subclasses added later
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

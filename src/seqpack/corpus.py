@@ -23,7 +23,16 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .model import _TOKEN_BYTES, ConfigError, CorpusError, DocumentRecord, EmitError, TokenRef
+from .model import (
+    _TOKEN_BYTES,
+    ConfigError,
+    CorpusError,
+    DocumentRecord,
+    EmitError,
+    PackingConfig,
+    Strategy,
+    TokenRef,
+)
 
 __all__ = [
     "ingest_corpus",
@@ -154,7 +163,10 @@ def corpus_stats(
     docs: Sequence[DocumentRecord], context_length: int | None = None
 ) -> CorpusStats:
     """Length statistics with a power-of-two histogram; when a context
-    length is given, also count documents longer than it."""
+    length is given, also count documents longer than it.  A context
+    length that ``PackingConfig`` rejects raises its ``ConfigError``."""
+    if context_length is not None:
+        PackingConfig(context_length, Strategy.BEST_FIT)
     if not docs:
         return CorpusStats(0, 0, 0, 0, 0.0, 0 if context_length is not None else None, ())
     lengths = [d.length for d in docs]

@@ -1,9 +1,7 @@
 """Policies for documents longer than the context length.
 
-The split and slide handlers are pure: they take a document record and
-return document records, leaving short documents untouched; the drop
-policy is applied by ``apply_policy`` alone.  Chunks derived
-from an over-length document inherit the parent id with a ``#<k>``
+``apply_policy`` runs the configured policy over a corpus.  Chunks
+derived from an over-length document inherit the parent id with a ``#<k>``
 suffix and carry token locators adjusted to the covered range, so a
 derived corpus still resolves against the original token store.
 """
@@ -12,7 +10,6 @@ from __future__ import annotations
 
 from .model import (
     _TOKEN_BYTES,
-    ConfigError,
     CorpusError,
     DocumentRecord,
     LongDocPolicy,
@@ -20,7 +17,7 @@ from .model import (
     TokenRef,
 )
 
-__all__ = ["preprocess_split", "preprocess_slide", "apply_policy"]
+__all__ = ["apply_policy"]
 
 
 def _chunk(doc: DocumentRecord, index: int, start: int, end: int) -> DocumentRecord:
@@ -30,14 +27,10 @@ def _chunk(doc: DocumentRecord, index: int, start: int, end: int) -> DocumentRec
     return DocumentRecord(f"{doc.doc_id}#{index}", end - start, ref)
 
 
-def preprocess_split(doc: DocumentRecord, context_length: int) -> list[DocumentRecord]:
+def _split(doc: DocumentRecord, context_length: int) -> list[DocumentRecord]:
     """Cut an over-length document into consecutive chunks of exactly
     ``context_length`` tokens; the final chunk keeps whatever remains
-    and may be shorter.  Fitting documents pass through unchanged."""
-    if context_length < 2:
-        raise ConfigError(f"context_length must be at least 2, got {context_length}")
-    if doc.length <= context_length:
-        return [doc]
+    and may be shorter."""
     parts = []
     for k, start in enumerate(range(0, doc.length, context_length)):
         end = min(start + context_length, doc.length)
@@ -45,9 +38,7 @@ def preprocess_split(doc: DocumentRecord, context_length: int) -> list[DocumentR
     return parts
 
 
-def preprocess_slide(
-    doc: DocumentRecord, context_length: int, overlap: int
-) -> list[DocumentRecord]:
+def _slide(doc: DocumentRecord, context_length: int, overlap: int) -> list[DocumentRecord]:
     """Cover an over-length document with overlapping windows of exactly
     ``context_length`` tokens.
 
@@ -55,12 +46,6 @@ def preprocess_slide(
     final window is pulled back so it ends flush with the document, so
     every window is full-size and every token is covered at least once.
     """
-    if not 1 <= overlap <= context_length - 1:
-        raise ConfigError(
-            f"overlap must be in [1, {context_length - 1}], got {overlap}"
-        )
-    if doc.length <= context_length:
-        return [doc]
     stride = context_length - overlap
     starts = [0]
     while starts[-1] + context_length < doc.length:
@@ -79,8 +64,10 @@ def apply_policy(
     """Run the configured long-document policy over a corpus in order.
 
     Returns the retained (possibly derived) records plus the ids of
-    documents removed by the drop policy.  Derived chunk ids must not
-    collide with any other id in the resulting corpus.
+    documents removed by the drop policy.  Every retained record is at
+    most ``cfg.context_length`` tokens long, which the whole-document
+    strategies rely on.  Derived chunk ids must not collide with any
+    other id in the resulting corpus.
     """
     L = cfg.context_length
     retained: list[DocumentRecord] = []
@@ -92,10 +79,10 @@ def apply_policy(
         elif cfg.long_doc_policy is LongDocPolicy.DROP:
             dropped.append(doc.doc_id)
         elif cfg.long_doc_policy is LongDocPolicy.SPLIT:
-            retained.extend(preprocess_split(doc, L))
+            retained.extend(_split(doc, L))
             derived_any = True
         else:
-            retained.extend(preprocess_slide(doc, L, cfg.slide_overlap))
+            retained.extend(_slide(doc, L, cfg.slide_overlap))
             derived_any = True
     if derived_any:
         seen: set[str] = set()

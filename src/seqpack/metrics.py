@@ -23,7 +23,6 @@ from .model import (
 __all__ = [
     "compute_metrics",
     "scaled_token_budget",
-    "StrategyRow",
     "StrategyComparison",
     "compare_strategies",
 ]
@@ -67,32 +66,22 @@ def scaled_token_budget(base_tokens: int, padding_rate: float) -> int:
     return round(base_tokens / (1.0 - padding_rate))
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyRow:
-    strategy: Strategy
-    sample_count: int
-    total_training_tokens: int
-    fragmentation_rate: float
-    padding_rate: float
+# the manifest metrics fields a comparison row shows, in JSON key order
+_ROW_FIELDS = ("sample_count", "total_training_tokens", "fragmentation_rate", "padding_rate")
 
 
 @dataclass(frozen=True, slots=True)
 class StrategyComparison:
-    """Side-by-side metrics for several strategies on one corpus."""
+    """Side-by-side metrics for several strategies on one corpus: one
+    ``(strategy, metrics)`` row per strategy, in the requested order."""
 
-    rows: tuple[StrategyRow, ...]
+    rows: tuple[tuple[Strategy, PackingMetrics], ...]
 
     def as_rows(self) -> list[dict]:
         """Machine-readable rows using the manifest metrics field names."""
         return [
-            {
-                "strategy": r.strategy.value,
-                "sample_count": r.sample_count,
-                "total_training_tokens": r.total_training_tokens,
-                "fragmentation_rate": r.fragmentation_rate,
-                "padding_rate": r.padding_rate,
-            }
-            for r in self.rows
+            {"strategy": strategy.value, **{name: getattr(m, name) for name in _ROW_FIELDS}}
+            for strategy, m in self.rows
         ]
 
     def render(self) -> str:
@@ -101,13 +90,13 @@ class StrategyComparison:
         header = ("strategy", "samples", "tokens", "frag%", "pad%")
         body = [
             (
-                r.strategy.value,
-                str(r.sample_count),
-                str(r.total_training_tokens),
-                f"{100.0 * r.fragmentation_rate:.1f}",
-                f"{100.0 * r.padding_rate:.2f}",
+                strategy.value,
+                str(m.sample_count),
+                str(m.total_training_tokens),
+                f"{100.0 * m.fragmentation_rate:.1f}",
+                f"{100.0 * m.padding_rate:.2f}",
             )
-            for r in self.rows
+            for strategy, m in self.rows
         ]
         widths = [
             max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
@@ -127,8 +116,7 @@ def compare_strategies(
     strategies: Iterable[Strategy],
 ) -> StrategyComparison:
     """Pack one corpus with several strategies under one config and
-    tabulate the metrics; rows keep the requested order.  Errors from a
-    strategy propagate with the failing row named."""
+    tabulate the metrics; rows keep the requested order."""
     from . import strategies as _strategies  # deferred: strategies imports this module
 
     docs = list(docs)
@@ -140,18 +128,5 @@ def compare_strategies(
             strategy=strategy,
             online=cfg.online if strategy is Strategy.BEST_FIT else False,
         )
-        try:
-            manifest = _strategies.pack_corpus(docs, row_cfg)
-        except Exception as exc:
-            raise type(exc)(f"{strategy.value}: {exc}") from exc
-        m = manifest.metrics
-        rows.append(
-            StrategyRow(
-                strategy,
-                m.sample_count,
-                m.total_training_tokens,
-                m.fragmentation_rate,
-                m.padding_rate,
-            )
-        )
+        rows.append((strategy, _strategies.pack_corpus(docs, row_cfg).metrics))
     return StrategyComparison(tuple(rows))

@@ -16,7 +16,6 @@ __all__ = [
     "PackingError",
     "ConfigError",
     "CorpusError",
-    "CapacityError",
     "ManifestError",
     "EmitError",
     "DecodeError",
@@ -44,10 +43,6 @@ class ConfigError(PackingError):
 
 class CorpusError(PackingError):
     """Malformed or inconsistent corpus input."""
-
-
-class CapacityError(PackingError):
-    """A document cannot fit into a sample under the chosen strategy."""
 
 
 class ManifestError(PackingError):
@@ -161,6 +156,8 @@ class PackingConfig:
                     f"slide_overlap must be in [1, {self.context_length - 1}], "
                     f"got {self.slide_overlap}"
                 )
+        elif self.slide_overlap is not None:
+            raise ConfigError("slide_overlap applies only to the slide policy")
         if self.online and self.strategy is not Strategy.BEST_FIT:
             raise ConfigError("online placement applies only to the best_fit strategy")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .model import (
-    CapacityError,
     ConfigError,
     DocumentRecord,
     PackingConfig,
@@ -47,7 +46,7 @@ def brute_force_min_bins(lengths: Sequence[int], capacity: int) -> int:
         if n < 1:
             raise ConfigError(f"item lengths must be positive, got {n}")
         if n > capacity:
-            raise CapacityError(f"item of length {n} exceeds capacity {capacity}")
+            raise ConfigError(f"item of length {n} exceeds capacity {capacity}")
     items = sorted(lengths, reverse=True)
     if not items:
         return 0
@@ -140,7 +139,7 @@ def simulate_reference(
 
     for d in docs:
         if d.length > L:
-            raise CapacityError(
+            raise ConfigError(
                 f"document {d.doc_id!r} (length {d.length}) exceeds sample "
                 f"capacity {L}; apply a long-document policy"
             )

@@ -20,7 +20,6 @@ from heapq import heappop, heappush
 from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
-    CapacityError,
     CorpusSummary,
     DocumentRecord,
     PackedSample,
@@ -31,23 +30,7 @@ from .model import (
     effective_length,
 )
 
-__all__ = [
-    "pack_concat_then_split",
-    "pack_restart_last_document",
-    "pack_pad_last_document",
-    "pack_best_fit",
-    "pack_corpus",
-]
-
-
-def _require_fits(docs: list[DocumentRecord], cfg: PackingConfig) -> None:
-    L = cfg.context_length
-    for d in docs:
-        if d.length > L:
-            raise CapacityError(
-                f"document {d.doc_id!r} (length {d.length}) exceeds sample "
-                f"capacity {L}; apply a long-document policy"
-            )
+__all__ = ["pack_corpus"]
 
 
 def _finish(
@@ -61,17 +44,14 @@ def _finish(
     return PackingManifest(cfg, summary, tuple(samples), metrics, discarded)
 
 
-def pack_concat_then_split(
-    docs: list[DocumentRecord], cfg: PackingConfig
-) -> PackingManifest:
+def _concat_then_split(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Concatenate the whole corpus into one virtual stream and cut it
     at multiples of the context length.
 
     Zero padding by construction; documents straddling a cut fragment.
     The incomplete final chunk is dropped under ``drop_final_partial``
     (the discarded token count is recorded on the manifest), otherwise
-    it is kept and padded.  Over-length documents are tolerated here —
-    they simply fragment across several chunks.
+    it is kept and padded.
     """
     L = cfg.context_length
     sep_cost = cfg.separator_cost
@@ -113,21 +93,21 @@ def pack_concat_then_split(
     return _finish(docs, cfg, samples, stream_len - retained)
 
 
-def _fill_sequential(
-    docs: list[DocumentRecord], cfg: PackingConfig, restart: bool
-) -> PackingManifest:
+def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Fill samples in corpus order, one open sample at a time.
 
     The two sequential strategies differ only in the overflow rule, for
     a document (with its separator) that does not fit the room left in
-    the open sample.  With ``restart`` the prefix that fits stays behind
-    as a tail fragment and the document restarts at the head of the next
-    sample; if its tokens land flush on the boundary it completes there
-    instead, separator elided.  Without ``restart`` the room left
-    becomes padding and the document starts the next sample whole.
+    the open sample.  Under restart_last_document the prefix that fits
+    stays behind as a tail fragment and the document restarts at the
+    head of the next sample; if its tokens land flush on the boundary it
+    completes there instead, separator elided, so no sample begins
+    mid-document.  Under pad_last_document the room left becomes
+    padding and the document starts the next sample whole, so no
+    document fragments; the final partial sample is always kept.
     """
-    _require_fits(docs, cfg)
     L = cfg.context_length
+    restart = cfg.strategy is Strategy.RESTART_LAST_DOCUMENT
 
     samples: list[PackedSample] = []
     cur_pl: list[Placement] = []
@@ -169,32 +149,7 @@ def _fill_sequential(
     return _finish(docs, cfg, samples, discarded)
 
 
-def pack_restart_last_document(
-    docs: list[DocumentRecord], cfg: PackingConfig
-) -> PackingManifest:
-    """Sequential fill where every sample begins at a document head.
-
-    A document that cannot finish inside the open sample leaves its
-    prefix behind as a tail fragment and restarts from token zero at
-    the start of the next sample.  When a document's tokens reach the
-    sample boundary exactly, it completes there and only its separator
-    is elided — restarting it would duplicate the whole document.
-    """
-    return _fill_sequential(docs, cfg, restart=True)
-
-
-def pack_pad_last_document(
-    docs: list[DocumentRecord], cfg: PackingConfig
-) -> PackingManifest:
-    """Sequential fill that pads instead of fragmenting: when the next
-    document (with its separator) does not fit in the open sample, the
-    remainder becomes masked padding and the document starts the next
-    sample.  No document ever fragments.  The final partial sample is
-    always kept and padded."""
-    return _fill_sequential(docs, cfg, restart=False)
-
-
-def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
+def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Whole-document bin packing: each document goes into the open
     sample with the least remaining room that still fits it entirely,
     or opens a new sample when none fits.
@@ -203,7 +158,6 @@ def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingMani
     by ascending doc_id) unless ``cfg.online`` asks for corpus order.
     No document ever fragments; sample residuals become padding.
     """
-    _require_fits(docs, cfg)
     L = cfg.context_length
 
     items = docs
@@ -257,17 +211,22 @@ def pack_best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingMani
 
 
 _DISPATCH = {
-    Strategy.CONCAT_THEN_SPLIT: pack_concat_then_split,
-    Strategy.RESTART_LAST_DOCUMENT: pack_restart_last_document,
-    Strategy.PAD_LAST_DOCUMENT: pack_pad_last_document,
-    Strategy.BEST_FIT: pack_best_fit,
+    Strategy.CONCAT_THEN_SPLIT: _concat_then_split,
+    Strategy.RESTART_LAST_DOCUMENT: _fill_sequential,
+    Strategy.PAD_LAST_DOCUMENT: _fill_sequential,
+    Strategy.BEST_FIT: _best_fit,
 }
 
 
 def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
-    """Full pipeline: apply the configured long-document policy, pack
+    """Plan a corpus: apply the configured long-document policy, pack
     with the configured strategy, and record any dropped documents on
-    the manifest."""
+    the manifest.
+
+    This is the only way in to the planners.  The policy runs first, so
+    every document a planner sees fits one sample, which the three
+    whole-document strategies rely on.
+    """
     retained, dropped = apply_policy(docs, cfg)
     manifest = _DISPATCH[cfg.strategy](retained, cfg)
     if dropped:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from seqpack import CapacityError, read_manifest, verify_manifest
+from seqpack import read_manifest, verify_manifest
 from seqpack.cli import main
 from seqpack.longdoc import apply_policy
 
@@ -143,6 +143,15 @@ def test_pack_invalid_flag_combination_is_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "online" in stderr
+    out = tmp_path / "m.json"
+    code, _, stderr = _run(
+        capsys,
+        ["pack", "--context-length", "5", "--strategy", "pld", "--slide-overlap", "-7",
+         str(corpus), "--out", str(out)],
+    )
+    assert code == 1
+    assert stderr == "error: slide_overlap applies only to the slide policy\n"
+    assert not out.exists()
 
 
 def test_unknown_strategy_is_exit_1(tmp_path, capsys):
@@ -159,21 +168,6 @@ def test_usage_error_is_exit_1(capsys):
         main(["pack", "--context-length", "not-a-number", "x.jsonl"])
     assert exc.value.code == 1
     capsys.readouterr()
-
-
-def test_capacity_error_is_exit_3(tmp_path, capsys, monkeypatch):
-    # the pipeline always preprocesses, so force the precondition path
-    corpus = _toy_corpus(tmp_path)
-
-    def boom(docs, cfg):
-        raise CapacityError("document 'X' (length 9) exceeds sample capacity 5")
-
-    monkeypatch.setattr("seqpack.cli.pack_corpus", boom)
-    code, _, stderr = _run(
-        capsys, ["pack", "--context-length", "5", "--strategy", "rld", str(corpus)]
-    )
-    assert code == 3
-    assert "exceeds sample capacity" in stderr
 
 
 def test_verify_ok_and_tampered(tmp_path, capsys):
@@ -374,11 +368,12 @@ def test_verify_and_emit_reject_wrong_dropped_list(tmp_path, capsys, dropped):
         (lambda payload: payload.update(discarded_tail_tokens="0"), "discarded_tail_tokens"),
         (lambda payload: payload["metrics"].update(padding_token_count="3"), "metrics.padding_token_count"),
         (lambda payload: payload["config"].update(separator_id="x"), "separator_id"),
+        (lambda payload: payload["config"].update(slide_overlap=-7), "slide_overlap"),
     ],
     ids=[
         "short_padding", "string_offset", "index_not_position", "null_padding",
         "string_count", "string_dropped", "string_discarded", "string_metric",
-        "string_separator_id",
+        "string_separator_id", "stray_slide_overlap",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "emit"])
@@ -413,12 +408,59 @@ def test_compare_table_and_json(tmp_path, capsys):
     }
 
 
+def test_compare_online_applies_to_the_best_fit_row(tmp_path, capsys):
+    # at L=10 best_fit packs these in 2 samples sorted, 3 in corpus order,
+    # so the best_fit row shows whether --online reached it
+    corpus = write_lengths_corpus(tmp_path, [3, 3, 5, 5])
+    out = tmp_path / "m.json"
+    code, _, _ = _run(
+        capsys,
+        ["pack", "--context-length", "10", "--strategy", "bfp", "--online", str(corpus),
+         "--out", str(out)],
+    )
+    assert code == 0
+    packed = read_manifest(out).metrics
+    argv = ["compare", "--context-length", "10", str(corpus), "--json"]
+    code, stdout, stderr = _run(capsys, argv + ["--online"])
+    assert (code, stderr) == (0, "")
+    online = json.loads(stdout)
+    code, stdout, _ = _run(capsys, argv)
+    offline = json.loads(stdout)
+    assert online[-1] == {
+        "strategy": "best_fit",
+        "sample_count": packed.sample_count,
+        "total_training_tokens": packed.total_training_tokens,
+        "fragmentation_rate": packed.fragmentation_rate,
+        "padding_rate": packed.padding_rate,
+    }
+    assert (packed.sample_count, offline[-1]["sample_count"]) == (3, 2)
+    assert online[:-1] == offline[:-1]
+
+
 def test_stats_output(tmp_path, capsys):
     corpus = _toy_corpus(tmp_path)
     code, stdout, _ = _run(capsys, ["stats", str(corpus), "--context-length", "3"])
     assert code == 0
     assert "documents      3" in stdout
     assert "over length    1" in stdout
+
+
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        ("-3", "context_length must be an integer in [0, 2**32), got -3"),
+        ("1", "context_length must be at least 2, got 1"),
+    ],
+    ids=["negative", "one"],
+)
+def test_stats_rejects_context_length_pack_rejects(tmp_path, capsys, length, message):
+    corpus = _toy_corpus(tmp_path)
+    code, stdout, stderr = _run(capsys, ["stats", str(corpus), "--context-length", length])
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    code, _, pack_stderr = _run(
+        capsys, ["pack", "--context-length", length, "--strategy", "bfp", str(corpus)]
+    )
+    assert (code, pack_stderr) == (1, stderr)
 
 
 def test_module_entry_point_runs():

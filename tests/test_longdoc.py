@@ -12,7 +12,7 @@ from seqpack import (
     Strategy,
     TokenRef,
 )
-from seqpack.longdoc import apply_policy, preprocess_slide, preprocess_split
+from seqpack.longdoc import apply_policy
 
 from util import make_config
 
@@ -21,8 +21,23 @@ def _doc(n, doc_id="X", offset=0):
     return DocumentRecord(doc_id, n, TokenRef("t.bin", offset))
 
 
+def _split(doc, context_length):
+    cfg = make_config(Strategy.BEST_FIT, context_length=context_length)
+    return apply_policy([doc], cfg)[0]
+
+
+def _slide(doc, context_length, overlap):
+    cfg = make_config(
+        Strategy.BEST_FIT,
+        context_length=context_length,
+        long_doc_policy=LongDocPolicy.SLIDE,
+        slide_overlap=overlap,
+    )
+    return apply_policy([doc], cfg)[0]
+
+
 def test_split_partitions_into_context_sized_chunks():
-    chunks = preprocess_split(_doc(11), 4)
+    chunks = _split(_doc(11), 4)
     assert [(c.doc_id, c.length) for c in chunks] == [("X#0", 4), ("X#1", 4), ("X#2", 3)]
     # byte offsets advance by 4 bytes per token
     assert [c.token_ref.offset for c in chunks] == [0, 16, 32]
@@ -31,8 +46,8 @@ def test_split_partitions_into_context_sized_chunks():
 
 def test_split_leaves_short_docs_alone():
     doc = _doc(4)
-    assert preprocess_split(doc, 4) == [doc]
-    assert preprocess_split(doc, 9) == [doc]
+    assert _split(doc, 4) == [doc]
+    assert _split(doc, 9) == [doc]
 
 
 def test_split_partition_property():
@@ -40,7 +55,7 @@ def test_split_partition_property():
     for _ in range(200):
         n = rng.randint(1, 500)
         limit = rng.randint(2, 64)
-        chunks = preprocess_split(DocumentRecord("d", n), limit)
+        chunks = _split(DocumentRecord("d", n), limit)
         assert sum(c.length for c in chunks) == n
         assert all(1 <= c.length <= limit for c in chunks)
         assert all(c.length == limit for c in chunks[:-1])
@@ -48,7 +63,7 @@ def test_split_partition_property():
 
 def test_slide_windows_match_hand_trace():
     # length 11, window 4, overlap 1 -> stride 3 -> starts 0, 3, 6, 7
-    chunks = preprocess_slide(_doc(11, offset=100), 4, overlap=1)
+    chunks = _slide(_doc(11, offset=100), 4, overlap=1)
     assert [(c.doc_id, c.length) for c in chunks] == [
         ("X#0", 4),
         ("X#1", 4),
@@ -60,7 +75,7 @@ def test_slide_windows_match_hand_trace():
 
 def test_slide_final_window_pulls_back_flush():
     # length 8, window 4, overlap 2 -> stride 2 -> starts 0, 2, 4
-    chunks = preprocess_slide(_doc(8), 4, overlap=2)
+    chunks = _slide(_doc(8), 4, overlap=2)
     assert [c.token_ref.offset // 4 for c in chunks] == [0, 2, 4]
     assert all(c.length == 4 for c in chunks)
 
@@ -71,7 +86,7 @@ def test_slide_covers_every_token_property():
         limit = rng.randint(2, 32)
         overlap = rng.randint(1, limit - 1)
         n = rng.randint(limit + 1, limit * 20)
-        chunks = preprocess_slide(DocumentRecord("d", n, TokenRef("f", 0)), limit, overlap)
+        chunks = _slide(DocumentRecord("d", n, TokenRef("f", 0)), limit, overlap)
         starts = [c.token_ref.offset // 4 for c in chunks]
         assert all(c.length == limit for c in chunks)
         assert starts[0] == 0
@@ -85,7 +100,7 @@ def test_slide_covers_every_token_property():
 
 def test_slide_short_doc_untouched():
     doc = _doc(4)
-    assert preprocess_slide(doc, 4, 1) == [doc]
+    assert _slide(doc, 4, 1) == [doc]
 
 
 def test_apply_policy_split_is_identity_for_short_corpora(toy_docs):
@@ -130,8 +145,14 @@ def test_apply_policy_idempotent_on_its_own_output():
 
 def test_split_chunk_lengths_never_exceed_context():
     rng = random.Random(7)
-    for policy in (LongDocPolicy.SPLIT, LongDocPolicy.DROP):
-        cfg = make_config(Strategy.BEST_FIT, context_length=16, long_doc_policy=policy)
+    for policy, overlap in (
+        (LongDocPolicy.SPLIT, None),
+        (LongDocPolicy.SLIDE, 5),
+        (LongDocPolicy.DROP, None),
+    ):
+        cfg = make_config(
+            Strategy.BEST_FIT, context_length=16, long_doc_policy=policy, slide_overlap=overlap
+        )
         docs = [DocumentRecord(f"d{i}", rng.randint(1, 80)) for i in range(100)]
         retained, _ = apply_policy(docs, cfg)
         assert all(d.length <= 16 for d in retained)

@@ -6,6 +6,8 @@ import pytest
 
 from seqpack import (
     ConfigError,
+    CorpusError,
+    DocumentRecord,
     Strategy,
     compare_strategies,
     pack_corpus,
@@ -80,7 +82,7 @@ def test_compare_strategies_row_order_follows_request(toy_docs):
     cfg = make_config(Strategy.BEST_FIT)
     order = [Strategy.BEST_FIT, Strategy.CONCAT_THEN_SPLIT]
     cmp = compare_strategies(toy_docs, cfg, order)
-    assert [r.strategy for r in cmp.rows] == order
+    assert [strategy for strategy, _ in cmp.rows] == order
 
 
 def test_compare_strategies_base_strategy_irrelevant(toy_docs):
@@ -108,7 +110,20 @@ def test_compare_strategies_names_failing_strategy():
     cfg = make_config(Strategy.BEST_FIT, context_length=4, long_doc_policy="drop")
     # drop removes the only doc, so packing succeeds with zero samples
     cmp = compare_strategies(docs, cfg, [Strategy.BEST_FIT])
-    assert cmp.rows[0].sample_count == 0
+    assert cmp.rows == ((Strategy.BEST_FIT, pack_corpus(docs, cfg).metrics),)
+    assert cmp.rows[0][1].sample_count == 0
+
+
+def test_compare_strategies_raises_policy_errors_unprefixed():
+    # the policy runs before any planner, so its error names no strategy
+    cfg = make_config(Strategy.BEST_FIT, context_length=4)
+    docs = [DocumentRecord("a", 9), DocumentRecord("a#0", 1)]
+    with pytest.raises(CorpusError) as packed:
+        pack_corpus(docs, cfg)
+    with pytest.raises(CorpusError) as compared:
+        compare_strategies(docs, cfg, [Strategy.PAD_LAST_DOCUMENT, Strategy.BEST_FIT])
+    assert str(compared.value) == str(packed.value)
+    assert str(packed.value) == "derived chunk id 'a#0' collides with another document"
 
 
 def test_empty_corpus_rates_are_zero():

@@ -48,6 +48,9 @@ def test_config_slide_overlap_validation():
         _cfg(long_doc_policy=LongDocPolicy.SLIDE, slide_overlap=8)
     cfg = _cfg(long_doc_policy=LongDocPolicy.SLIDE, slide_overlap=7)
     assert cfg.slide_overlap == 7
+    for policy in (LongDocPolicy.SPLIT, LongDocPolicy.DROP):
+        with pytest.raises(ConfigError, match="applies only to the slide policy"):
+            _cfg(long_doc_policy=policy, slide_overlap=3)
 
 
 def test_config_online_requires_best_fit():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from seqpack import (
-    CapacityError,
     ConfigError,
     DocumentRecord,
     Strategy,
@@ -44,7 +43,7 @@ def test_brute_force_never_below_volume_bound():
 def test_brute_force_input_validation():
     with pytest.raises(ConfigError, match="too large"):
         brute_force_min_bins([1] * 15, 8)
-    with pytest.raises(CapacityError, match="exceeds capacity"):
+    with pytest.raises(ConfigError, match="exceeds capacity"):
         brute_force_min_bins([9], 8)
     with pytest.raises(ConfigError, match="positive"):
         brute_force_min_bins([0], 8)
@@ -95,5 +94,5 @@ def test_simulation_rejects_oversized_corpora():
 
 def test_simulation_rejects_over_length_docs():
     cfg = make_config(Strategy.BEST_FIT, context_length=4)
-    with pytest.raises(CapacityError):
+    with pytest.raises(ConfigError):
         simulate_reference(docs_from_lengths([9]), cfg, Strategy.BEST_FIT)

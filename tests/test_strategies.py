@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqpack import (
-    CapacityError,
     LongDocPolicy,
     Strategy,
     effective_length,
     pack_corpus,
 )
 from seqpack.manifest_io import manifest_to_json
-from seqpack.strategies import pack_best_fit, pack_restart_last_document
 
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
 
@@ -130,16 +128,6 @@ def test_restart_never_pads_when_dropping_tail():
             assert s.occupied_tokens == 8
 
 
-def test_restart_over_length_doc_raises():
-    cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, context_length=4)
-    with pytest.raises(CapacityError) as exc:
-        # direct strategy call: pack_corpus would have split the doc first
-        pack_restart_last_document(docs_from_lengths([9]), cfg)
-    msg = str(exc.value)
-    assert "exceeds sample capacity" in msg
-    assert "long-document policy" in msg
-
-
 # --- pad_last_document -------------------------------------------------------
 
 def test_pad_toy_layout(toy_docs):
@@ -250,12 +238,6 @@ def test_best_fit_online_keeps_input_order():
     assert offline.metrics.sample_count == online.metrics.sample_count == 2
 
 
-def test_best_fit_over_length_raises():
-    cfg = make_config(Strategy.BEST_FIT, context_length=4)
-    with pytest.raises(CapacityError, match="exceeds sample capacity"):
-        pack_best_fit(docs_from_lengths([9]), cfg)
-
-
 def test_best_fit_full_doc_elides_separator():
     cfg = make_config(Strategy.BEST_FIT, context_length=4)
     m = pack_corpus(docs_from_lengths([4, 2]), cfg)
@@ -302,7 +284,7 @@ def _best_fit_cases(draw):
 def test_best_fit_picks_smallest_sufficient_residual_lowest_id(case):
     docs, cfg = case
     L = cfg.context_length
-    m = pack_best_fit(docs, cfg)
+    m = pack_corpus(docs, cfg)
     where = {p.doc_id: (i, p.offset) for i, s in enumerate(m.samples) for p in s.placements}
 
     order = docs
