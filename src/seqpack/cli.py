@@ -25,11 +25,9 @@ from .model import (
     ConfigError,
     CorpusError,
     DecodeError,
-    DocumentRecord,
     EmitError,
     ManifestError,
     PackingConfig,
-    PackingManifest,
     PackingError,
     Strategy,
 )
@@ -63,9 +61,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _parse_strategy(name: str) -> Strategy:
-    try:
-        return _STRATEGY_ALIASES[name.lower()]
+def _parse_strategy(name: object) -> Strategy:
+    try:  # a config file may hold any JSON value here
+        return _STRATEGY_ALIASES[str(name).lower()]
     except KeyError:
         raise ConfigError(f"unknown strategy {name!r}") from None
 
@@ -164,15 +162,16 @@ def _build_config(args: argparse.Namespace, strategy_required: bool = True) -> P
     if getattr(args, "no_final_drop", None):
         values["drop_final_partial"] = False
 
-    if "strategy" in values and isinstance(values["strategy"], str):
+    if "strategy" in values:
         values["strategy"] = _parse_strategy(values["strategy"])
     if values.get("context_length") is None:
         raise ConfigError("--context-length is required")
-    if strategy_required and "strategy" not in values:
+    if not strategy_required:
+        # compare's template: every row replaces the strategy, and best_fit
+        # is the one strategy every other field is valid with
+        values["strategy"] = Strategy.BEST_FIT
+    elif "strategy" not in values:
         raise ConfigError("--strategy is required")
-    # compare's template: every row replaces the strategy, and best_fit
-    # is the one strategy every other field is valid with
-    values.setdefault("strategy", Strategy.BEST_FIT)
     return PackingConfig(**values)
 
 
@@ -204,21 +203,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_manifest(
-    manifest: PackingManifest, docs: list[DocumentRecord]
-) -> tuple[list[DocumentRecord], list[str]]:
-    """Check a manifest against the corpus after its long-document policy:
-    the retained documents, and every problem (dropped-id mismatch first)."""
-    retained, dropped = apply_policy(docs, manifest.config)
-    problems = [str(v) for v in verify_manifest(manifest, retained).violations]
-    if dropped != manifest.documents.dropped:
-        problems.insert(0, "dropped documents differ")
-    return retained, problems
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
-    _, problems = _check_manifest(manifest, ingest_corpus(args.corpus))
+    problems = verify_manifest(manifest, ingest_corpus(args.corpus)).violations
     if not problems:
         print("ok")
         return EXIT_OK
@@ -230,12 +217,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_emit(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     corpus_path = Path(args.corpus)
+    docs = ingest_corpus(corpus_path, mode="full")
     # emit checks sample layouts, not the plan against the corpus: verify first
-    retained, problems = _check_manifest(manifest, ingest_corpus(corpus_path, mode="full"))
+    problems = verify_manifest(manifest, docs).violations
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
-    store = FileTokenStore(retained, base_dir=corpus_path.parent)
+    # the store resolves the derived chunks the plan places
+    store = FileTokenStore(apply_policy(docs, manifest.config)[0], base_dir=corpus_path.parent)
     summary = write_bytes_atomic(
         args.out,
         lambda fh: emit_samples(manifest, store, fh, mask_separators=args.mask_separators),

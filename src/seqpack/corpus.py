@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,11 +75,7 @@ def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
     return doc_id, length, ref
 
 
-def ingest_corpus(
-    source: str | Path | IO[str],
-    mode: str = "lengths_only",
-    base_dir: str | Path | None = None,
-) -> list[DocumentRecord]:
+def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[DocumentRecord]:
     """Read a line-delimited corpus into document records, keeping file
     order.  ``mode`` is ``"lengths_only"`` (default) or ``"full"``; full
     mode requires every record's token reference to resolve — the store
@@ -87,23 +83,14 @@ def ingest_corpus(
     must lie within the file."""
     if mode not in ("lengths_only", "full"):
         raise ConfigError(f"unknown ingest mode {mode!r}")
-
-    close_after = False
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.is_file():
-            raise CorpusError(f"corpus file not found: {path}")
-        base = Path(base_dir) if base_dir is not None else path.parent
-        fh: IO[str] = path.open("r", encoding="utf-8")
-        close_after = True
-    else:
-        fh = source
-        base = Path(base_dir) if base_dir is not None else Path(".")
+    path = Path(path)
+    if not path.is_file():
+        raise CorpusError(f"corpus file not found: {path}")
 
     records: list[DocumentRecord] = []
     seen: set[str] = set()
     sizes: dict[str, int] = {}
-    try:
+    with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -122,7 +109,7 @@ def ingest_corpus(
                 if size is None:
                     fpath = Path(ref.file)
                     if not fpath.is_absolute():
-                        fpath = base / fpath
+                        fpath = path.parent / fpath
                     try:
                         size = os.stat(fpath).st_size
                     except OSError:
@@ -142,9 +129,6 @@ def ingest_corpus(
                         f"span exceeds store size {size}"
                     )
             records.append(DocumentRecord(doc_id, length, ref))
-    finally:
-        if close_after:
-            fh.close()
     return records
 
 

@@ -189,10 +189,6 @@ class Placement:
     end: int
     offset: int
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True, slots=True)
 class PackedSample:

@@ -14,7 +14,6 @@ concat_then_split cuts the stream, separators included.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import replace
 from heapq import heappop, heappush
 
 from .longdoc import apply_policy
@@ -32,19 +31,11 @@ from .model import (
 
 __all__ = ["pack_corpus"]
 
-
-def _finish(
-    docs: list[DocumentRecord],
-    cfg: PackingConfig,
-    samples: list[PackedSample],
-    discarded: int,
-) -> PackingManifest:
-    summary = CorpusSummary(len(docs), sum(d.length for d in docs))
-    metrics = compute_metrics(samples, docs, cfg.context_length)
-    return PackingManifest(cfg, summary, tuple(samples), metrics, discarded)
+# what a planner returns: the samples and the discarded tail token count
+_Plan = tuple[list[PackedSample], int]
 
 
-def _concat_then_split(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
+def _concat_then_split(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     """Concatenate the whole corpus into one virtual stream and cut it
     at multiples of the context length.
 
@@ -90,10 +81,10 @@ def _concat_then_split(docs: list[DocumentRecord], cfg: PackingConfig) -> Packin
     samples = [
         PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)
     ]
-    return _finish(docs, cfg, samples, stream_len - retained)
+    return samples, stream_len - retained
 
 
-def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
+def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     """Fill samples in corpus order, one open sample at a time.
 
     The two sequential strategies differ only in the overflow rule, for
@@ -146,10 +137,10 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingM
             discarded = pos
         else:
             close()
-    return _finish(docs, cfg, samples, discarded)
+    return samples, discarded
 
 
-def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
+def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     """Whole-document bin packing: each document goes into the open
     sample with the least remaining room that still fits it entirely,
     or opens a new sample when none fits.
@@ -207,7 +198,7 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest
     samples = [
         PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)
     ]
-    return _finish(docs, cfg, samples, 0)
+    return samples, 0
 
 
 _DISPATCH = {
@@ -219,18 +210,17 @@ _DISPATCH = {
 
 
 def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
-    """Plan a corpus: apply the configured long-document policy, pack
-    with the configured strategy, and record any dropped documents on
-    the manifest.
+    """Plan a corpus as read: apply the configured long-document policy,
+    pack with the configured strategy, and record any dropped documents
+    on the manifest.  ``verify_manifest`` checks it against the same
+    corpus.
 
     This is the only way in to the planners.  The policy runs first, so
     every document a planner sees fits one sample, which the three
     whole-document strategies rely on.
     """
     retained, dropped = apply_policy(docs, cfg)
-    manifest = _DISPATCH[cfg.strategy](retained, cfg)
-    if dropped:
-        manifest = replace(
-            manifest, documents=replace(manifest.documents, dropped=dropped)
-        )
-    return manifest
+    samples, discarded = _DISPATCH[cfg.strategy](retained, cfg)
+    summary = CorpusSummary(len(retained), sum(d.length for d in retained), dropped)
+    metrics = compute_metrics(samples, retained, cfg.context_length)
+    return PackingManifest(cfg, summary, tuple(samples), metrics, discarded)

@@ -3,7 +3,8 @@
 ``verify_manifest`` re-checks every invariant a strategy promises —
 sample capacity, exact tiling, per-document coverage discipline, the
 document-head rule, the discarded tail, and metric counters — against
-the corpus the manifest claims to describe.  It reports violations as
+the corpus the manifest claims to describe, taken as read and put
+through the manifest's long-document policy.  It reports violations as
 data instead of raising, so a caller can show all of them at once.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Sequence
 
+from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
     DocumentRecord,
@@ -99,14 +101,18 @@ def _sample_layout(i: int, sample: PackedSample, L: int) -> tuple[int, list[Viol
 def verify_manifest(
     manifest: PackingManifest, documents: Sequence[DocumentRecord]
 ) -> VerificationReport:
-    """Check a manifest against the corpus it was packed from.
+    """Check a manifest against the corpus it was packed from, as read.
 
-    ``documents`` must be the retained corpus (after the long-document
-    policy): placement bounds and fragmentation can only be judged with
-    the true document lengths at hand.
+    The manifest's long-document policy runs first, as in ``pack_corpus``,
+    and must drop exactly the manifest's dropped ids; every other check
+    judges the retained records, whose true lengths bound placements and
+    fragmentation.  A derived-id collision raises ``CorpusError``.
     """
-    v: list[Violation] = []
     cfg = manifest.config
+    documents, dropped = apply_policy(documents, cfg)
+    v: list[Violation] = []
+    if dropped != manifest.documents.dropped:
+        v.append(Violation(None, None, "dropped documents differ"))
     L = cfg.context_length
     strategy = cfg.strategy
     lengths = {d.doc_id: d.length for d in documents}
@@ -131,9 +137,6 @@ def verify_manifest(
                 f"{manifest.documents.total_tokens} tokens, corpus has {total_tokens}",
             )
         )
-    for doc_id in manifest.documents.dropped:
-        if doc_id in lengths:
-            v.append(Violation(None, doc_id, "dropped document still in corpus"))
 
     # doc_id -> (sample position, placement) for every placement that ends
     # inside its document, in manifest order; the layout rule judges its start
@@ -241,7 +244,7 @@ def verify_manifest(
         )
 
     try:
-        recomputed = compute_metrics(list(manifest.samples), list(documents), L)
+        recomputed = compute_metrics(manifest.samples, documents, L)
     except KeyError:
         v.append(Violation(None, None, "metrics not recomputable: placements reference unknown documents"))
     else:

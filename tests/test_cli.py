@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from seqpack import read_manifest, verify_manifest
+from seqpack import ingest_corpus, read_manifest, verify_manifest
 from seqpack.cli import main
-from seqpack.longdoc import apply_policy
 
 from util import write_lengths_corpus, write_token_corpus
 
@@ -35,8 +34,7 @@ def test_pack_prints_summary_and_writes_manifest(tmp_path, capsys):
     assert stdout == "strategy=pad_last_document samples=3 frag=0.0000 pad=0.2000\n"
     manifest = read_manifest(out)
     assert manifest.metrics.sample_count == 3
-    docs, _ = apply_policy(__import__("seqpack").ingest_corpus(corpus), manifest.config)
-    assert verify_manifest(manifest, docs).ok
+    assert verify_manifest(manifest, ingest_corpus(corpus)).ok
 
 
 def test_pack_summary_lines_all_strategies(tmp_path, capsys):
@@ -435,6 +433,24 @@ def test_compare_online_applies_to_the_best_fit_row(tmp_path, capsys):
     }
     assert (packed.sample_count, offline[-1]["sample_count"]) == (3, 2)
     assert online[:-1] == offline[:-1]
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [({"strategy": "pld"}, ["--online"]), ({"strategy": "cts", "online": True}, [])],
+    ids=["pld_file_online_flag", "cts_file_online_key"],
+)
+def test_compare_ignores_config_file_strategy(tmp_path, capsys, config, flags):
+    corpus = write_lengths_corpus(tmp_path, [3, 3, 5, 5])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"context_length": 10, **config}))
+    argv = ["compare", "--context-length", "10", str(corpus), "--json"]
+    code, stdout, stderr = _run(capsys, ["compare", "--config", str(path), *flags, str(corpus), "--json"])
+    assert (code, stderr) == (0, "")
+    assert stdout == _run(capsys, argv + ["--online"])[1]
+    path.write_text(json.dumps({"context_length": 10, "strategy": "mystery"}))
+    code, _, stderr = _run(capsys, ["compare", "--config", str(path), str(corpus)])
+    assert (code, stderr) == (1, "error: unknown strategy 'mystery'\n")
 
 
 def test_stats_output(tmp_path, capsys):

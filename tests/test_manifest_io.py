@@ -165,7 +165,8 @@ def test_rejects_malformed_sample_fields(toy_docs, edit):
 @st.composite
 def _packed(draw):
     """A small random corpus packed under any strategy, policy and flag
-    setting, with the retained documents and a token store for them."""
+    setting, with the corpus as read and a token store for its retained
+    documents."""
     L = draw(st.integers(2, 12))
     strategy = draw(st.sampled_from(ALL_STRATEGIES))
     policy = draw(st.sampled_from(LongDocPolicy))
@@ -182,17 +183,17 @@ def _packed(draw):
     retained = apply_policy(docs, cfg)[0]
     rng = random.Random(draw(st.integers(0, 2**32)))
     store = InMemoryTokenStore({d.doc_id: [rng.randrange(2, 2**31) for _ in range(d.length)] for d in retained})
-    return pack_corpus(docs, cfg), retained, store
+    return pack_corpus(docs, cfg), docs, store
 
 
 @settings(max_examples=200, deadline=None)
 @given(_packed())
 def test_json_round_trip_is_identical_and_verifies(case):
-    manifest, retained, _ = case
+    manifest, docs, _ = case
     text = manifest_to_json(manifest)
     back = manifest_from_json(text)
     assert manifest_to_json(back) == text
-    assert verify_manifest(back, retained).ok
+    assert verify_manifest(back, docs).ok
 
 
 def _paths(node, path=()):
@@ -216,7 +217,7 @@ _TAMPER_VALUES = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_packed(), st.data())
 def test_tampered_json_raises_only_packing_errors(case, data):
-    manifest, retained, store = case
+    manifest, docs, store = case
     sink = io.BytesIO()
     checksum = emit_samples(manifest, store, sink).checksum
     payload = json.loads(manifest_to_json(manifest))
@@ -230,7 +231,7 @@ def test_tampered_json_raises_only_packing_errors(case, data):
     except ManifestError:
         return
     with suppress(PackingError):
-        verify_manifest(tampered, retained)
+        verify_manifest(tampered, docs)
     with suppress(EmitError):
         emit_samples(tampered, store, io.BytesIO())
     with suppress(DecodeError):

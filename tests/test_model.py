@@ -100,7 +100,6 @@ def test_effective_length_rule():
 
 def test_placement_and_sample_accessors():
     p = Placement("d", 2, 6, 1)
-    assert p.length == 4
     s = PackedSample((p,), (5,))
     assert s.occupied_tokens == 5
     bare = PackedSample((p,))

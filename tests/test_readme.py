@@ -1,0 +1,18 @@
+"""The README's library example runs as documented."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_use_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "split () 0.2",
+        "drop ('a',) 0.3",
+    ]

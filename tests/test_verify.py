@@ -12,7 +12,6 @@ from seqpack import (
     pack_corpus,
     verify_manifest,
 )
-from seqpack.longdoc import apply_policy
 from seqpack.metrics import compute_metrics
 
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
@@ -20,11 +19,6 @@ from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
 
 def _messages(report):
     return " | ".join(v.message for v in report.violations)
-
-
-def _retained(docs, cfg):
-    kept, _ = apply_policy(docs, cfg)
-    return kept
 
 
 def test_engine_output_verifies_clean_across_strategies_and_policies():
@@ -47,7 +41,7 @@ def test_engine_output_verifies_clean_across_strategies_and_policies():
                     drop_final_partial=drop_tail,
                 )
                 manifest = pack_corpus(docs, cfg)
-                report = verify_manifest(manifest, _retained(docs, cfg))
+                report = verify_manifest(manifest, docs)
                 assert report.ok, f"{strategy} {policy} drop={drop_tail}: {_messages(report)}"
 
 
@@ -200,12 +194,15 @@ def test_detects_corpus_summary_mismatch(toy_docs):
     assert "corpus summary mismatch" in msgs
 
 
-def test_detects_dropped_doc_still_present(toy_docs):
-    cfg = make_config(Strategy.BEST_FIT, long_doc_policy=LongDocPolicy.DROP)
-    manifest = pack_corpus(docs_from_lengths([3, 9]), cfg)
-    # verify against a corpus that still contains the dropped doc
-    report = verify_manifest(manifest, docs_from_lengths([3, 9]))
-    assert "dropped document still in corpus" in _messages(report)
+@pytest.mark.parametrize(
+    "dropped", [(), ("d1", "d0"), ("d1", "bogus")], ids=["emptied", "plus_retained", "plus_bogus"]
+)
+def test_detects_wrong_dropped_list(dropped):
+    docs = docs_from_lengths([3, 9])
+    manifest = pack_corpus(docs, make_config(Strategy.BEST_FIT, long_doc_policy=LongDocPolicy.DROP))
+    assert manifest.documents.dropped == ("d1",)
+    bad = replace(manifest, documents=replace(manifest.documents, dropped=dropped))
+    assert _messages(verify_manifest(bad, docs)) == "dropped documents differ"
 
 
 def test_detects_empty_sample(toy_docs):
