@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
 from .longdoc import apply_policy
@@ -138,7 +136,7 @@ def _build_config(args: argparse.Namespace, strategy_required: bool = True) -> P
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -235,12 +233,9 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     )
     if args.decode_check:
         with open(args.out, "rb") as fh:
-            decoded = decode_samples(fh, manifest, expected_checksum=summary.checksum)
-        for doc_id, tokens in decoded.documents.items():
-            expected = store.get(doc_id, 0, len(tokens))
-            if not np.array_equal(tokens, expected):
-                raise DecodeError(f"decode-check failed for document {doc_id!r}")
-        print(f"decode-check: ok ({len(decoded.documents)} documents)")
+            decode_samples(fh, manifest, store, expected_checksum=summary.checksum)
+        placed = {p.doc_id for sample in manifest.samples for p in sample.placements}
+        print(f"decode-check: ok ({len(placed)} documents)")
     return EXIT_OK
 
 

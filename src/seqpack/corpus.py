@@ -48,8 +48,10 @@ _TOKEN_DTYPE = np.dtype("<u4")
 
 def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
     try:
+        if not line.isascii():
+            line.encode("utf-8")  # bytes that are not UTF-8 were read as lone surrogates
         obj = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         raise CorpusError(f"line {line_no}: malformed record") from None
     if not isinstance(obj, dict):
         raise CorpusError(f"line {line_no}: malformed record")
@@ -90,7 +92,7 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
     records: list[DocumentRecord] = []
     seen: set[str] = set()
     sizes: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

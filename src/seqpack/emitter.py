@@ -58,10 +58,9 @@ class EmitSummary:
 
 @dataclass(frozen=True, slots=True)
 class DecodeResult:
-    """Documents reconstructed from a sample stream: each retained
-    document's covered prefix, concatenated from its placements."""
+    """A stream that decoded clean: how many tokens its mask plane keeps
+    out of the loss, and its SHA-256."""
 
-    documents: dict[str, np.ndarray]
     zero_mask_tokens: int
     checksum: str
 
@@ -123,14 +122,16 @@ def emit_samples(
 def decode_samples(
     stream: IO[bytes],
     manifest: PackingManifest,
+    token_store: TokenSource,
     expected_checksum: str | None = None,
 ) -> DecodeResult:
-    """Read a sample stream back and reassemble each document's tokens
-    from its placements.
+    """Read a sample stream back, one sample at a time, and check every
+    placement's tokens against ``token_store``.
 
-    Raises on truncation, header/manifest disagreement, a sample layout
-    ``verify_manifest`` would reject, boundary plane mismatch, inconsistent
-    duplicate coverage, coverage gaps and (given one) checksum mismatch.
+    Raises ``DecodeError`` on truncation, header/manifest disagreement, a
+    sample layout ``verify_manifest`` would reject, boundary plane
+    mismatch, a placed token that differs from the store, a store lookup
+    error and (given one) checksum mismatch.
     """
     digest = hashlib.sha256()
 
@@ -157,24 +158,11 @@ def decode_samples(
             f"length {cfg.context_length}"
         )
 
-    # doc_id -> [covered length, tokens placed]: every sample must pass the
-    # layout rule, and a buffer is allocated only for a length they can cover
-    covered: dict[str, list[int]] = {}
+    zero_mask = 0
     for i, sample in enumerate(manifest.samples):
         problems = _sample_layout(i, sample, L)[1]
         if problems:
             raise DecodeError(str(problems[0]))
-        for p in sample.placements:
-            c = covered.setdefault(p.doc_id, [0, 0])
-            c[0], c[1] = max(c[0], p.end), c[1] + p.end - p.start
-    for doc_id, (end, placed) in covered.items():
-        if placed < end:
-            raise DecodeError(f"coverage gap while reassembling {doc_id!r}")
-    documents = {d: np.zeros(end, dtype="<u4") for d, (end, _) in covered.items()}
-    seen = {d: np.zeros(end, dtype=bool) for d, (end, _) in covered.items()}
-
-    zero_mask = 0
-    for i, sample in enumerate(manifest.samples):
         tokens = np.frombuffer(read(4 * L, "token plane"), dtype="<u4")
         mask = np.frombuffer(read(L, "mask plane"), dtype=np.uint8)
         zero_mask += int(np.count_nonzero(mask == 0))
@@ -186,20 +174,16 @@ def decode_samples(
                 f"{i} disagrees with placements"
             )
         for p in sample.placements:
-            segment = tokens[p.offset : p.offset + (p.end - p.start)]
-            buf = documents[p.doc_id][p.start : p.end]
-            overlap = seen[p.doc_id][p.start : p.end]
-            if overlap.any() and not np.array_equal(buf[overlap], segment[overlap]):
-                raise DecodeError(f"inconsistent duplicate coverage of {p.doc_id!r}")
-            buf[:] = segment
-            overlap[:] = True
+            try:
+                expected = token_store.get(p.doc_id, p.start, p.end)
+            except EmitError as exc:
+                raise DecodeError(f"sample {i}: {exc}") from None
+            if not np.array_equal(tokens[p.offset : p.offset + (p.end - p.start)], expected):
+                raise DecodeError(f"sample {i} doc {p.doc_id}: tokens differ from the store")
 
     if stream.read(1):
         raise DecodeError("trailing bytes after final sample")
     checksum = digest.hexdigest()
     if expected_checksum is not None and checksum != expected_checksum:
         raise DecodeError("checksum mismatch")
-    for doc_id, mask in seen.items():
-        if not mask.all():
-            raise DecodeError(f"coverage gap while reassembling {doc_id!r}")
-    return DecodeResult(documents, zero_mask, checksum)
+    return DecodeResult(zero_mask, checksum)

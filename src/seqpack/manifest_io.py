@@ -50,17 +50,17 @@ def _fields_dict(obj) -> dict:
     return out
 
 
+def _padding(sample: PackedSample, L: int) -> list[int] | None:
+    occupied = sample.occupied_tokens
+    return [occupied, L] if occupied < L else None
+
+
 def _sample_json(index: int, sample: PackedSample, L: int) -> dict:
-    rows = []
-    occupied = len(sample.separator_positions)
-    for p in sample.placements:
-        rows.append([p.doc_id, p.start, p.end, p.offset])
-        occupied += p.end - p.start
     return {
         "index": index,
-        "placements": rows,
+        "placements": [[p.doc_id, p.start, p.end, p.offset] for p in sample.placements],
         "separators": list(sample.separator_positions),
-        "padding": [occupied, L] if occupied < L else None,
+        "padding": _padding(sample, L),
     }
 
 
@@ -105,28 +105,26 @@ def _sample_from_json(index: int, s: dict, L: int) -> PackedSample:
     if type(s["index"]) is not int or s["index"] != index:
         raise ManifestError(f"{where} index {json.dumps(s['index'])} is not its position")
     placements = []
-    occupied = 0
     for doc_id, start, end, offset in s["placements"]:
         if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
             row = json.dumps([doc_id, start, end, offset])
             raise ManifestError(f"{where} placement {row} is not [str, int, int, int]")
         placements.append(Placement(doc_id, start, end, offset))
-        occupied += end - start
     separators = s["separators"]
     if type(separators) is not list or not _ints(separators):
         raise ManifestError(f"{where} separators must be a list of ints")
-    occupied += len(separators)
-    padding = [occupied, L] if occupied < L else None
+    sample = PackedSample(tuple(placements), tuple(separators))
+    padding = _padding(sample, L)
     if s["padding"] != padding or (padding and not _ints(s["padding"])):
         shown = json.dumps(s["padding"])
         raise ManifestError(f"{where} padding {shown} is not {json.dumps(padding)}")
-    return PackedSample(tuple(placements), tuple(separators))
+    return sample
 
 
 def manifest_from_json(text: str) -> PackingManifest:
     try:
         payload = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MANIFEST_FORMAT:
@@ -160,13 +158,21 @@ def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:
     """Run ``write`` on a temporary sibling of ``path`` opened for binary
     writing, then rename the sibling over ``path``, so readers never see
     a half-written file.  Returns what ``write`` returned; on any
-    exception the sibling is removed and ``path`` is left as it was."""
+    exception the sibling is removed and ``path`` is left as it was.  A
+    path whose sibling cannot be made, or that cannot be replaced,
+    raises ``ConfigError``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "wb") as fh:
             result = write(fh)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         try:
             os.unlink(tmp)
@@ -185,4 +191,8 @@ def read_manifest(path: str | Path) -> PackingManifest:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest file not found: {path}")
-    return manifest_from_json(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+    return manifest_from_json(text)

@@ -201,9 +201,10 @@ class PackedSample:
 
     @property
     def occupied_tokens(self) -> int:
-        return sum(p.end - p.start for p in self.placements) + len(
-            self.separator_positions
-        )
+        occupied = len(self.separator_positions)
+        for p in self.placements:  # a loop: manifest IO calls this per sample
+            occupied += p.end - p.start
+        return occupied
 
 
 @dataclass(frozen=True, slots=True)

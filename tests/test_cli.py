@@ -194,6 +194,66 @@ def test_verify_corrupt_manifest_is_exit_2(tmp_path, capsys):
     assert "not valid JSON" in stderr
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, name, data, code, message",
+    [
+        ("pack", "corpus.jsonl", b'{"doc_id": "d0", "length": 3}\n{"doc_id": "\xff", "length": 4}\n',
+         2, "line 2: malformed record"),
+        ("pack", "corpus.jsonl", f'{{"doc_id": "d0", "length": 3}}\n{_DEEP}\n'.encode(),
+         2, "line 2: malformed record"),
+        ("verify", "m.json", b'{"format": "\xff"}', 2, "manifest is not valid JSON: "),
+        ("verify", "m.json", _DEEP.encode(), 2, "manifest is not valid JSON: "),
+        ("pack", "cfg.json", _DEEP.encode(), 1, "config file is not valid JSON: "),
+    ],
+    ids=["corpus_not_utf8", "corpus_deep", "manifest_not_utf8", "manifest_deep", "config_deep"],
+)
+def test_undecodable_input_is_an_error_not_a_traceback(
+    tmp_path, capsys, command, name, data, code, message
+):
+    corpus = _toy_corpus(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    if command == "verify":
+        argv = ["verify", str(corpus), "--manifest", str(tmp_path / name)]
+    else:
+        out = tmp_path / "out.json"
+        argv = ["pack", "--context-length", "5", "--strategy", "cts", str(corpus), "--out", str(out)]
+        if name == "cfg.json":
+            argv += ["--config", str(tmp_path / name)]
+    got, stdout, stderr = _run(capsys, argv)
+    assert (got, stdout) == (code, "")
+    assert stderr.startswith(f"error: {message}")
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("nodir/out.bin", "No such file or directory"), ("adir", "Is a directory")],
+    ids=["missing_dir", "directory"],
+)
+@pytest.mark.parametrize("command", ["pack", "emit"])
+def test_unwritable_out_is_exit_1(tmp_path, capsys, command, target, reason):
+    corpus, _ = write_token_corpus(tmp_path, TOY, random.Random(5))
+    manifest_path = tmp_path / "m.json"
+    _run(
+        capsys,
+        ["pack", "--context-length", "5", "--strategy", "pld", str(corpus), "--out", str(manifest_path)],
+    )
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / target
+    if command == "pack":
+        argv = ["pack", "--context-length", "5", "--strategy", "pld", str(corpus), "--out", str(out)]
+    else:
+        argv = ["emit", str(corpus), "--manifest", str(manifest_path), "--out", str(out)]
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: cannot write {out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_emit_with_decode_check(tmp_path, capsys):
     rng = random.Random(71)
     corpus, _ = write_token_corpus(tmp_path, TOY, rng)

@@ -93,13 +93,9 @@ def test_emission_is_deterministic(toy_docs):
 def test_decode_round_trip(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
-    result = decode_samples(io.BytesIO(blob), m, summary.checksum)
+    result = decode_samples(io.BytesIO(blob), m, _toy_store(), summary.checksum)
     assert result.checksum == summary.checksum
     assert result.zero_mask_tokens == m.metrics.padding_token_count == 3
-    store = _toy_store()
-    for doc_id in ("A", "B", "C"):
-        n = {"A": 3, "B": 4, "C": 2}[doc_id]
-        assert result.documents[doc_id].tolist() == store.get(doc_id, 0, n).tolist()
 
 
 def test_decode_reassembles_fragments_and_partial_prefixes(toy_docs):
@@ -107,32 +103,41 @@ def test_decode_reassembles_fragments_and_partial_prefixes(toy_docs):
     # concat fragments B across two samples; C loses its last token
     m = pack_corpus(toy_docs, make_config(Strategy.CONCAT_THEN_SPLIT))
     blob, summary = _emit(m, store)
-    result = decode_samples(io.BytesIO(blob), m, summary.checksum)
-    assert result.documents["A"].tolist() == [10, 11, 12]
-    assert result.documents["B"].tolist() == [20, 21, 22, 23]
-    assert result.documents["C"].tolist() == [30]  # covered prefix only
+    result = decode_samples(io.BytesIO(blob), m, store, summary.checksum)
     assert result.zero_mask_tokens == 0
+
+
+def test_decode_rejects_token_that_differs_from_store(toy_docs):
+    # concat places B's first token at the end of sample 0 (offset 4) and
+    # the rest at the head of sample 1; flip that first token
+    m = pack_corpus(toy_docs, make_config(Strategy.CONCAT_THEN_SPLIT))
+    assert m.samples[0].placements[-1] == Placement("B", 0, 1, 4)
+    blob, _ = _emit(m)
+    i = HEADER.size + 4 * 4
+    tampered = blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1 :]
+    with pytest.raises(DecodeError, match="^sample 0 doc B: tokens differ from the store$"):
+        decode_samples(io.BytesIO(tampered), m, _toy_store())
 
 
 def test_decode_rejects_truncation(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, _ = _emit(m)
     with pytest.raises(DecodeError, match="truncation"):
-        decode_samples(io.BytesIO(blob[:-3]), m)
+        decode_samples(io.BytesIO(blob[:-3]), m, _toy_store())
 
 
 def test_decode_rejects_trailing_bytes(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, _ = _emit(m)
     with pytest.raises(DecodeError, match="trailing bytes"):
-        decode_samples(io.BytesIO(blob + b"\x00"), m)
+        decode_samples(io.BytesIO(blob + b"\x00"), m, _toy_store())
 
 
 def test_decode_rejects_wrong_magic(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, _ = _emit(m)
     with pytest.raises(DecodeError, match="not a packed sample stream"):
-        decode_samples(io.BytesIO(b"XXXX" + blob[4:]), m)
+        decode_samples(io.BytesIO(b"XXXX" + blob[4:]), m, _toy_store())
 
 
 def test_decode_rejects_wrong_version(toy_docs):
@@ -140,17 +145,17 @@ def test_decode_rejects_wrong_version(toy_docs):
     blob, _ = _emit(m)
     tampered = blob[:4] + struct.pack("<H", 9) + blob[6:]
     with pytest.raises(DecodeError, match="unsupported stream version"):
-        decode_samples(io.BytesIO(tampered), m)
+        decode_samples(io.BytesIO(tampered), m, _toy_store())
 
 
 def test_decode_rejects_checksum_mismatch(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
-    # flip one token byte in the first sample plane
-    i = HEADER.size
+    # flip one byte of the first sample's mask plane: no placement reads it
+    i = HEADER.size + 4 * 5
     tampered = blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1 :]
     with pytest.raises(DecodeError, match="checksum mismatch"):
-        decode_samples(io.BytesIO(tampered), m, summary.checksum)
+        decode_samples(io.BytesIO(tampered), m, _toy_store(), summary.checksum)
 
 
 def test_decode_rejects_manifest_stream_mismatch(toy_docs):
@@ -158,7 +163,7 @@ def test_decode_rejects_manifest_stream_mismatch(toy_docs):
     cts = pack_corpus(toy_docs, make_config(Strategy.CONCAT_THEN_SPLIT))
     blob, _ = _emit(pld)
     with pytest.raises(DecodeError, match="manifest/stream mismatch"):
-        decode_samples(io.BytesIO(blob), cts)
+        decode_samples(io.BytesIO(blob), cts, _toy_store())
 
 
 def test_decode_rejects_boundary_disagreement(toy_docs):
@@ -168,7 +173,7 @@ def test_decode_rejects_boundary_disagreement(toy_docs):
     i = HEADER.size + 20 + 5 + 2
     tampered = blob[:i] + struct.pack("<I", 2) + blob[i + 4 :]
     with pytest.raises(DecodeError, match="boundary plane"):
-        decode_samples(io.BytesIO(tampered), m)
+        decode_samples(io.BytesIO(tampered), m, _toy_store())
 
 
 def test_decode_rejects_other_plane_flags(toy_docs):
@@ -178,26 +183,29 @@ def test_decode_rejects_other_plane_flags(toy_docs):
     for flags in (0, 1, 2, 7):
         tampered = HEADER.pack(magic, version, flags, L, count) + blob[HEADER.size :]
         with pytest.raises(DecodeError, match="unsupported plane flags"):
-            decode_samples(io.BytesIO(tampered), m)
+            decode_samples(io.BytesIO(tampered), m, _toy_store())
 
 
 @pytest.mark.parametrize(
     "change, message",
     [
         ({"end": 6}, "sample 0 doc A: capacity exceeded: offset 0 \\+ length 6 > 5"),
-        ({"start": 2**40, "end": 2**40 + 3}, "coverage gap while reassembling 'A'"),
+        (
+            {"start": 2**40, "end": 2**40 + 3},
+            "^sample 0: token range \\[1099511627776, 1099511627779\\) outside document 'A'",
+        ),
     ],
     ids=["end_past_L", "start_at_2**40"],
 )
 def test_decode_checks_placement_before_use(toy_docs, change, message):
     # a sound stream read against a manifest whose first placement (A's three
-    # tokens at offset 0) was edited: no numpy error, no huge buffer
+    # tokens at offset 0) was edited: no numpy error, only DecodeError
     m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
     first = replace(m.samples[0].placements[0], **change)
     bad = replace(m, samples=(replace(m.samples[0], placements=(first,)),) + m.samples[1:])
     with pytest.raises(DecodeError, match=message):
-        decode_samples(io.BytesIO(blob), bad, summary.checksum)
+        decode_samples(io.BytesIO(blob), bad, _toy_store(), summary.checksum)
 
 
 def test_emit_rejects_short_token_store(toy_docs):
@@ -251,7 +259,7 @@ def test_emit_and_decode_check_sample_layout(toy_docs, placements, separators, m
         emit_samples(bad, _toy_store(), sink)
     assert len(sink.getvalue()) == HEADER.size
     with pytest.raises(DecodeError, match=rf"^sample 0\b.*{message}"):
-        decode_samples(io.BytesIO(blob), bad, summary.checksum)
+        decode_samples(io.BytesIO(blob), bad, _toy_store(), summary.checksum)
 
 
 def test_random_round_trips_across_strategies():
@@ -270,19 +278,15 @@ def test_random_round_trips_across_strategies():
         m = pack_corpus(docs, cfg)
         sink = io.BytesIO()
         summary = emit_samples(m, store, sink)
-        result = decode_samples(io.BytesIO(sink.getvalue()), m, summary.checksum)
+        result = decode_samples(io.BytesIO(sink.getvalue()), m, store, summary.checksum)
         assert result.zero_mask_tokens == m.metrics.padding_token_count
-        for doc_id, got in result.documents.items():
-            expected = store.get(doc_id, 0, len(got))
-            assert np.array_equal(got, expected)
 
 
 def test_decode_empty_stream_round_trip():
     m = pack_corpus([], make_config(Strategy.BEST_FIT))
     blob, summary = _emit(m, InMemoryTokenStore({}))
     assert len(blob) == HEADER.size
-    result = decode_samples(io.BytesIO(blob), m, summary.checksum)
-    assert result.documents == {}
+    result = decode_samples(io.BytesIO(blob), m, InMemoryTokenStore({}), summary.checksum)
     assert result.zero_mask_tokens == 0
 
 
@@ -327,12 +331,12 @@ def _damaged_streams(draw):
         damaged = blob[:a0] + blob[b0:b1] + blob[a1:b0] + blob[a0:a1] + blob[b1:]
     else:
         damaged = blob + bytes([draw(st.integers(0, 255))])
-    return m, bytes(damaged), summary.checksum
+    return m, store, bytes(damaged), summary.checksum
 
 
 @settings(max_examples=300, deadline=None)
 @given(_damaged_streams())
 def test_damaged_stream_always_raises_decode_error(case):
-    m, damaged, checksum = case
+    m, store, damaged, checksum = case
     with pytest.raises(DecodeError):
-        decode_samples(io.BytesIO(damaged), m, expected_checksum=checksum)
+        decode_samples(io.BytesIO(damaged), m, store, expected_checksum=checksum)

@@ -235,7 +235,7 @@ def test_tampered_json_raises_only_packing_errors(case, data):
     with suppress(EmitError):
         emit_samples(tampered, store, io.BytesIO())
     with suppress(DecodeError):
-        decode_samples(io.BytesIO(sink.getvalue()), tampered, checksum)
+        decode_samples(io.BytesIO(sink.getvalue()), tampered, store, checksum)
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -15,4 +15,5 @@ def test_library_use_example_runs(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "split () 0.2",
         "drop ('a',) 0.3",
+        "2 3",
     ]
