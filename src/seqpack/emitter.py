@@ -25,7 +25,7 @@ from typing import IO, Protocol
 
 import numpy as np
 
-from .model import DecodeError, EmitError, PackingManifest
+from .model import DecodeError, EmitError, PackedSample, PackingConfig, PackingManifest
 from .verify import _sample_layout
 
 __all__ = [
@@ -42,7 +42,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIQ")
 _COUNT = struct.Struct("<H")
 _PLANE_FLAGS = 3  # bit 0: mask plane, bit 1: boundary plane
-_MAX_BOUNDARIES = 0xFFFF
 
 
 class TokenSource(Protocol):
@@ -87,36 +86,54 @@ def emit_samples(
 
     out(_HEADER.pack(MAGIC, VERSION, _PLANE_FLAGS, L, len(manifest.samples)))
     for i, sample in enumerate(manifest.samples):
-        if len(sample.placements) > _MAX_BOUNDARIES:
-            raise EmitError(
-                f"sample {i} has {len(sample.placements)} "
-                f"placements; the boundary plane holds at most {_MAX_BOUNDARIES}"
-            )
-        occupied, problems = _sample_layout(i, sample, L)
-        if problems:
-            raise EmitError(str(problems[0]))
-        tokens = np.full(L, cfg.padding_id, dtype="<u4")
-        mask = np.ones(L, dtype=np.uint8)
-        for p in sample.placements:
-            n = p.end - p.start
-            piece = token_store.get(p.doc_id, p.start, p.end)
-            if len(piece) != n:
-                raise EmitError(
-                    f"token store returned {len(piece)} ids for {p.doc_id!r} "
-                    f"range [{p.start}, {p.end})"
-                )
-            tokens[p.offset : p.offset + n] = piece
-        for off in sample.separator_positions:
-            tokens[off] = cfg.separator_id
-            if mask_separators:
-                mask[off] = 0
-        mask[occupied:] = 0
-        boundaries = np.array([p.offset for p in sample.placements], dtype="<u4")
-        out(tokens.tobytes())
-        out(mask.tobytes())
-        out(_COUNT.pack(len(boundaries)))
-        out(boundaries.tobytes())
+        out(_render(i, sample, token_store, cfg, mask_separators))
     return EmitSummary(len(manifest.samples), len(manifest.samples) * L, digest.hexdigest())
+
+
+def _render(
+    i: int, sample: PackedSample, token_store: TokenSource, cfg: PackingConfig, mask_separators: bool
+) -> bytes:
+    """Sample ``i``'s token, mask and boundary planes; ``EmitError`` names
+    the sample if its layout breaks the rule or a store lookup fails."""
+    L = cfg.context_length
+    occupied, problems = _sample_layout(i, sample, L)
+    if problems:
+        raise EmitError(str(problems[0]))
+    tokens = np.full(L, cfg.padding_id, dtype="<u4")
+    mask = np.ones(L, dtype=np.uint8)
+    for p in sample.placements:
+        n = p.end - p.start
+        try:
+            piece = token_store.get(p.doc_id, p.start, p.end)
+        except EmitError as exc:
+            raise EmitError(f"sample {i}: {exc}") from None
+        if len(piece) != n:
+            raise EmitError(
+                f"sample {i}: token store returned {len(piece)} ids for "
+                f"{p.doc_id!r} range [{p.start}, {p.end})"
+            )
+        tokens[p.offset : p.offset + n] = piece
+    for off in sample.separator_positions:
+        tokens[off] = cfg.separator_id
+        if mask_separators:
+            mask[off] = 0
+    mask[occupied:] = 0
+    boundaries = np.array([p.offset for p in sample.placements], dtype="<u4")
+    return tokens.tobytes() + mask.tobytes() + _COUNT.pack(len(boundaries)) + boundaries.tobytes()
+
+
+def _difference(i: int, sample: PackedSample, got: bytes, want: bytes, L: int) -> str:
+    """Name the first plane in which a sample read differs from its rendering."""
+    if got[: 4 * L] != want[: 4 * L]:
+        diff = np.frombuffer(got, "<u4", L) != np.frombuffer(want, "<u4", L)
+        off = int(np.flatnonzero(diff)[0])
+        for p in sample.placements:
+            if p.offset <= off < p.offset + (p.end - p.start):
+                return f"sample {i} doc {p.doc_id}: tokens differ from the store"
+        return f"sample {i}: token plane differs from the manifest at offset {off}"
+    if got[4 * L : 5 * L] != want[4 * L : 5 * L]:
+        return f"sample {i}: mask plane differs from the manifest"
+    return f"manifest/stream mismatch: boundary plane of sample {i} disagrees with placements"
 
 
 def decode_samples(
@@ -124,14 +141,17 @@ def decode_samples(
     manifest: PackingManifest,
     token_store: TokenSource,
     expected_checksum: str | None = None,
+    mask_separators: bool = False,
 ) -> DecodeResult:
-    """Read a sample stream back, one sample at a time, and check every
-    placement's tokens against ``token_store``.
+    """Read a sample stream back, one sample at a time, and compare every
+    byte with the sample as ``emit_samples`` renders it from the manifest
+    and ``token_store``; ``mask_separators`` must be the value it was
+    emitted with, which the stream does not record.
 
     Raises ``DecodeError`` on truncation, header/manifest disagreement, a
-    sample layout ``verify_manifest`` would reject, boundary plane
-    mismatch, a placed token that differs from the store, a store lookup
-    error and (given one) checksum mismatch.
+    sample layout ``verify_manifest`` would reject, a store lookup error,
+    a sample whose bytes differ (naming the first plane that does) and
+    (given one) checksum mismatch.
     """
     digest = hashlib.sha256()
 
@@ -160,26 +180,14 @@ def decode_samples(
 
     zero_mask = 0
     for i, sample in enumerate(manifest.samples):
-        problems = _sample_layout(i, sample, L)[1]
-        if problems:
-            raise DecodeError(str(problems[0]))
-        tokens = np.frombuffer(read(4 * L, "token plane"), dtype="<u4")
-        mask = np.frombuffer(read(L, "mask plane"), dtype=np.uint8)
-        zero_mask += int(np.count_nonzero(mask == 0))
-        (count,) = _COUNT.unpack(read(_COUNT.size, "boundary count"))
-        boundaries = np.frombuffer(read(4 * count, "boundary plane"), dtype="<u4")
-        if boundaries.tolist() != [p.offset for p in sample.placements]:
-            raise DecodeError(
-                f"manifest/stream mismatch: boundary plane of sample "
-                f"{i} disagrees with placements"
-            )
-        for p in sample.placements:
-            try:
-                expected = token_store.get(p.doc_id, p.start, p.end)
-            except EmitError as exc:
-                raise DecodeError(f"sample {i}: {exc}") from None
-            if not np.array_equal(tokens[p.offset : p.offset + (p.end - p.start)], expected):
-                raise DecodeError(f"sample {i} doc {p.doc_id}: tokens differ from the store")
+        try:
+            want = _render(i, sample, token_store, cfg, mask_separators)
+        except EmitError as exc:
+            raise DecodeError(str(exc)) from None
+        got = read(len(want), f"sample {i}")
+        if got != want:
+            raise DecodeError(_difference(i, sample, got, want, L))
+        zero_mask += want.count(0, 4 * L, 5 * L)
 
     if stream.read(1):
         raise DecodeError("trailing bytes after final sample")

@@ -33,6 +33,7 @@ _HEAD_RULE = (
     Strategy.PAD_LAST_DOCUMENT,
     Strategy.BEST_FIT,
 )
+_MAX_PLACEMENTS = 0xFFFF  # the sample format's uint16 boundary count
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +64,12 @@ class VerificationReport:
 def _sample_layout(i: int, sample: PackedSample, L: int) -> tuple[int, list[Violation]]:
     """Sample ``i``'s occupancy and layout problems, judged by ``L`` alone:
     placements in offset order, each a non-empty range inside ``[0, L)``,
-    separators inside ``[0, L)``, all tiling ``[0, occupied)`` exactly."""
+    separators inside ``[0, L)``, all tiling ``[0, occupied)`` exactly, and
+    no more placements than the sample format's boundary plane holds."""
     problems: list[tuple[str | None, str]] = []
+    count = len(sample.placements)
+    if count > _MAX_PLACEMENTS:
+        problems.append((None, f"{count} placements; the boundary plane holds at most {_MAX_PLACEMENTS}"))
     # (offset, is separator, end) of every in-range piece of the sample
     pieces: list[tuple[int, bool, int]] = []
     last_offset = -1

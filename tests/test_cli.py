@@ -275,6 +275,25 @@ def test_emit_with_decode_check(tmp_path, capsys):
     assert out.stat().st_size == 20 + 3 * (20 + 5 + 2 + 4)
 
 
+def test_emit_decode_check_with_masked_separators(tmp_path, capsys):
+    # decode renders the samples with the flag emit wrote them with
+    corpus, _ = write_token_corpus(tmp_path, TOY, random.Random(77))
+    manifest_path = tmp_path / "m.json"
+    _run(
+        capsys,
+        ["pack", "--context-length", "5", "--strategy", "pld", str(corpus), "--out", str(manifest_path)],
+    )
+    code, stdout, stderr = _run(
+        capsys,
+        [
+            "emit", str(corpus), "--manifest", str(manifest_path), "--out", str(tmp_path / "s.bin"),
+            "--mask-separators", "--decode-check",
+        ],
+    )
+    assert (code, stderr) == (0, "")
+    assert stdout.splitlines()[1] == "decode-check: ok (3 documents)"
+
+
 def test_cts_kept_separator_only_sample_verifies_and_emits(tmp_path, capsys):
     # a 4-token document plus its separator is a k*L + 1 stream at L=4: the
     # kept final sample holds only the separator

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from seqpack import (
     DecodeError,
+    DocumentRecord,
     EmitError,
     InMemoryTokenStore,
     Strategy,
@@ -149,13 +150,52 @@ def test_decode_rejects_wrong_version(toy_docs):
 
 
 def test_decode_rejects_checksum_mismatch(toy_docs):
+    # an intact stream, checked against the checksum of another emission of
+    # the same manifest (separators masked): every sample matches its rendering
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
-    blob, summary = _emit(m)
-    # flip one byte of the first sample's mask plane: no placement reads it
-    i = HEADER.size + 4 * 5
-    tampered = blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1 :]
-    with pytest.raises(DecodeError, match="checksum mismatch"):
-        decode_samples(io.BytesIO(tampered), m, _toy_store(), summary.checksum)
+    blob, _ = _emit(m)
+    _, masked = _emit(m, mask_separators=True)
+    with pytest.raises(DecodeError, match="^checksum mismatch$"):
+        decode_samples(io.BytesIO(blob), m, _toy_store(), masked.checksum)
+
+
+def _pair_at_8():
+    # A and C with their separators, then one padding slot:
+    # tokens [10 11 12 1 30 31 1 0], mask [1 1 1 1 1 1 1 0]
+    m = pack_corpus(
+        [DocumentRecord("A", 3), DocumentRecord("C", 2)],
+        make_config(Strategy.PAD_LAST_DOCUMENT, context_length=8),
+    )
+    assert len(m.samples) == 1
+    return m
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (HEADER.size + 4 * 7, "^sample 0: token plane differs from the manifest at offset 7$"),
+        (HEADER.size + 4 * 3, "^sample 0: token plane differs from the manifest at offset 3$"),
+        (HEADER.size + 4 * 8 + 0, "^sample 0: mask plane differs from the manifest$"),
+        (HEADER.size + 4 * 8 + 7, "^sample 0: mask plane differs from the manifest$"),
+    ],
+    ids=["padding_token", "separator_token", "document_mask_bit", "padding_mask_bit"],
+)
+def test_decode_without_checksum_checks_every_byte(index, message):
+    # damage that no placement reads: decode still names the plane
+    m = _pair_at_8()
+    blob, _ = _emit(m)
+    damaged = blob[:index] + bytes([blob[index] ^ 1]) + blob[index + 1 :]
+    with pytest.raises(DecodeError, match=message):
+        decode_samples(io.BytesIO(damaged), m, _toy_store())
+
+
+def test_decode_needs_the_emitted_mask_separators():
+    m = _pair_at_8()
+    blob, summary = _emit(m, mask_separators=True)
+    result = decode_samples(io.BytesIO(blob), m, _toy_store(), summary.checksum, mask_separators=True)
+    assert result.zero_mask_tokens == 1 + 2  # padding and both separators
+    with pytest.raises(DecodeError, match="^sample 0: mask plane differs from the manifest$"):
+        decode_samples(io.BytesIO(blob), m, _toy_store())
 
 
 def test_decode_rejects_manifest_stream_mismatch(toy_docs):
@@ -276,10 +316,14 @@ def test_random_round_trips_across_strategies():
             drop_final_partial=rng.random() < 0.5,
         )
         m = pack_corpus(docs, cfg)
+        masked = trial // 4 % 2 == 1  # each strategy both ways
         sink = io.BytesIO()
-        summary = emit_samples(m, store, sink)
-        result = decode_samples(io.BytesIO(sink.getvalue()), m, store, summary.checksum)
-        assert result.zero_mask_tokens == m.metrics.padding_token_count
+        summary = emit_samples(m, store, sink, mask_separators=masked)
+        result = decode_samples(
+            io.BytesIO(sink.getvalue()), m, store, summary.checksum, mask_separators=masked
+        )
+        separators = sum(len(s.separator_positions) for s in m.samples)
+        assert result.zero_mask_tokens == m.metrics.padding_token_count + (separators if masked else 0)
 
 
 def test_decode_empty_stream_round_trip():
@@ -340,3 +384,11 @@ def test_damaged_stream_always_raises_decode_error(case):
     m, store, damaged, checksum = case
     with pytest.raises(DecodeError):
         decode_samples(io.BytesIO(damaged), m, store, expected_checksum=checksum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_streams())
+def test_damaged_stream_raises_decode_error_without_checksum(case):
+    m, store, damaged, _ = case
+    with pytest.raises(DecodeError):
+        decode_samples(io.BytesIO(damaged), m, store, expected_checksum=None)

@@ -71,6 +71,17 @@ def test_detects_capacity_overflow(toy_docs):
     assert "capacity exceeded" in _messages(report)
 
 
+def test_detects_more_placements_than_the_boundary_plane_holds():
+    # pack writes this one-sample plan, but the sample format's uint16
+    # boundary count cannot record its placements, so emit would refuse it
+    docs = docs_from_lengths([1] * 70_000)
+    manifest = pack_corpus(docs, make_config(Strategy.PAD_LAST_DOCUMENT, context_length=200_000))
+    assert len(manifest.samples) == 1
+    assert [str(v) for v in verify_manifest(manifest, docs).violations] == [
+        "sample 0: 70000 placements; the boundary plane holds at most 65535"
+    ]
+
+
 def test_detects_out_of_bounds_placement(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.PAD_LAST_DOCUMENT)
     bad = _tamper_placement(manifest, 0, 0, end=9)
