@@ -222,20 +222,21 @@ def _cmd_emit(args: argparse.Namespace) -> int:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
     # the store resolves the derived chunks the plan places
-    store = FileTokenStore(apply_policy(docs, manifest.config)[0], base_dir=corpus_path.parent)
-    summary = write_bytes_atomic(
-        args.out,
-        lambda fh: emit_samples(manifest, store, fh, mask_separators=args.mask_separators),
-    )
-    print(
-        f"samples={summary.samples_written} tokens={summary.tokens_written} "
-        f"checksum=sha256:{summary.checksum}"
-    )
-    if args.decode_check:
-        with open(args.out, "rb") as fh:
-            decode_samples(fh, manifest, store, summary.checksum, mask_separators=args.mask_separators)
-        placed = {p.doc_id for sample in manifest.samples for p in sample.placements}
-        print(f"decode-check: ok ({len(placed)} documents)")
+    chunks = apply_policy(docs, manifest.config)[0]
+    with FileTokenStore(chunks, base_dir=corpus_path.parent) as store:
+        summary = write_bytes_atomic(
+            args.out,
+            lambda fh: emit_samples(manifest, store, fh, mask_separators=args.mask_separators),
+        )
+        print(
+            f"samples={summary.samples_written} tokens={summary.tokens_written} "
+            f"checksum=sha256:{summary.checksum}"
+        )
+        if args.decode_check:
+            with open(args.out, "rb") as fh:
+                decode_samples(fh, manifest, store, summary.checksum, mask_separators=args.mask_separators)
+            placed = {p.doc_id for sample in manifest.samples for p in sample.placements}
+            print(f"decode-check: ok ({len(placed)} documents)")
     return EXIT_OK
 
 

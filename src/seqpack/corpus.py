@@ -81,8 +81,8 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
     """Read a line-delimited corpus into document records, keeping file
     order.  ``mode`` is ``"lengths_only"`` (default) or ``"full"``; full
     mode requires every record's token reference to resolve — the store
-    file must exist, the offset must be 4-byte aligned, and the span
-    must lie within the file."""
+    file must exist and hold a whole number of 4-byte ids, the offset
+    must be 4-byte aligned, and the span must lie within the file."""
     if mode not in ("lengths_only", "full"):
         raise ConfigError(f"unknown ingest mode {mode!r}")
     path = Path(path)
@@ -119,6 +119,11 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
                             f"line {line_no}: unresolvable token_ref for "
                             f"{doc_id!r}: missing store {ref.file!r}"
                         ) from None
+                    if size % _TOKEN_BYTES:
+                        raise CorpusError(
+                            f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
+                            f"store size {size} is not a multiple of {_TOKEN_BYTES}"
+                        )
                     sizes[ref.file] = size
                 if ref.offset % _TOKEN_BYTES:
                     raise CorpusError(
@@ -194,8 +199,11 @@ def render_stats(stats: CorpusStats) -> str:
 class FileTokenStore:
     """Token lookup over flat binary stores of little-endian uint32 ids.
 
-    Built from document records carrying token references; store files
-    are memory-mapped lazily and shared across documents.
+    Built from document records carrying token references.  Each store
+    file is opened on first use and shared across documents; a lookup
+    reads its range with one positional read into a new array, so memory
+    holds only the ranges asked for.  ``close()``, or leaving a ``with``
+    block, closes the files; a lookup after that raises ``EmitError``.
     """
 
     def __init__(
@@ -207,20 +215,43 @@ class FileTokenStore:
             for d in documents
             if d.token_ref is not None
         }
-        self._maps: dict[str, np.ndarray] = {}
+        self._files: dict[str, tuple[int, int]] = {}  # file -> (fd, token count)
+        self._closed = False
 
-    def _store(self, file: str) -> np.ndarray:
-        mm = self._maps.get(file)
-        if mm is None:
+    def __enter__(self) -> FileTokenStore:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every open store file; closing again does nothing."""
+        self._closed = True
+        files, self._files = self._files, {}
+        for fd, _ in files.values():
+            os.close(fd)
+
+    def _store(self, file: str) -> tuple[int, int]:
+        entry = self._files.get(file)
+        if entry is None:
+            if self._closed:
+                raise EmitError(f"token store {file!r} is closed")
             path = Path(file)
             if not path.is_absolute():
                 path = self._base / path
             try:
-                mm = np.memmap(path, dtype=_TOKEN_DTYPE, mode="r")
-            except (OSError, ValueError) as exc:
+                fd = os.open(path, os.O_RDONLY)
+            except OSError as exc:
                 raise EmitError(f"cannot open token store {file!r}: {exc}") from None
-            self._maps[file] = mm
-        return mm
+            size = os.fstat(fd).st_size
+            if size % _TOKEN_BYTES:
+                os.close(fd)
+                raise EmitError(
+                    f"cannot open token store {file!r}: store size {size} is not a "
+                    f"multiple of {_TOKEN_BYTES}"
+                )
+            entry = self._files[file] = (fd, size // _TOKEN_BYTES)
+        return entry
 
     def get(self, doc_id: str, start: int, end: int) -> np.ndarray:
         entry = self._refs.get(doc_id)
@@ -233,10 +264,20 @@ class FileTokenStore:
                 f"(length {length})"
             )
         base = ref.offset // _TOKEN_BYTES
-        store = self._store(ref.file)
-        if base + end > len(store):
+        fd, count = self._store(ref.file)
+        if base + end > count:
             raise EmitError(f"token_ref for {doc_id!r} exceeds store {ref.file!r}")
-        return store[base + start : base + end]
+        out = np.empty(end - start, dtype=_TOKEN_DTYPE)
+        try:
+            got = os.preadv(fd, [out], (base + start) * _TOKEN_BYTES)
+        except OSError as exc:
+            raise EmitError(f"cannot read token store {ref.file!r}: {exc}") from None
+        if got != out.nbytes:  # the file shrank after it was opened
+            raise EmitError(
+                f"short read of {doc_id!r} from token store {ref.file!r}: "
+                f"{got} of {out.nbytes} bytes"
+            )
+        return out
 
 
 class InMemoryTokenStore:

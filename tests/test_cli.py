@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 
-from seqpack import ingest_corpus, read_manifest, verify_manifest
+from seqpack import cli, ingest_corpus, read_manifest, verify_manifest
 from seqpack.cli import main
 
 from util import write_lengths_corpus, write_token_corpus
@@ -292,6 +293,53 @@ def test_emit_decode_check_with_masked_separators(tmp_path, capsys):
     )
     assert (code, stderr) == (0, "")
     assert stdout.splitlines()[1] == "decode-check: ok (3 documents)"
+
+
+def _open_fds_on(path):
+    target = os.path.realpath(path)
+    found = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{name}") == target:
+                found.append(name)
+        except OSError:  # the fd that listed the directory is already closed
+            pass
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "fail_in, error",
+    [
+        (None, ""),
+        ("emit_samples", "error: sample 0: token_ref for 'd0' exceeds store 'tokens.bin'\n"),
+        ("decode_samples", "error: sample 0: short read of 'd0' from token store 'tokens.bin': 0 of 12 bytes\n"),
+    ],
+    ids=["ok", "emit_fails", "decode_fails"],
+)
+def test_emit_closes_the_token_store(tmp_path, capsys, monkeypatch, fail_in, error):
+    corpus, _ = write_token_corpus(tmp_path, TOY, random.Random(78))
+    store_path = tmp_path / "tokens.bin"
+    manifest_path = tmp_path / "m.json"
+    _run(
+        capsys,
+        ["pack", "--context-length", "5", "--strategy", "pld", str(corpus), "--out", str(manifest_path)],
+    )
+    if fail_in:
+        call = getattr(cli, fail_in)
+
+        def truncate_store_first(*args, **kwargs):
+            os.truncate(store_path, 0)
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(cli, fail_in, truncate_store_first)
+    code, _, stderr = _run(
+        capsys,
+        ["emit", str(corpus), "--manifest", str(manifest_path), "--out", str(tmp_path / "s.bin"),
+         "--decode-check"],
+    )
+    assert (code, stderr) == (2 if fail_in else 0, error)
+    assert _open_fds_on(store_path) == []
 
 
 def test_cts_kept_separator_only_sample_verifies_and_emits(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 
@@ -13,6 +14,7 @@ from seqpack import (
     EmitError,
     FileTokenStore,
     InMemoryTokenStore,
+    TokenRef,
     corpus_stats,
     ingest_corpus,
 )
@@ -125,6 +127,19 @@ def test_full_mode_rejects_misaligned_offset(tmp_path):
         ingest_corpus(path, mode="full")
 
 
+def test_full_mode_rejects_store_of_partial_ids(tmp_path):
+    # 41 bytes: room for the two 5-token documents plus one stray byte
+    (tmp_path / "t.bin").write_bytes(b"\x00" * 41)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"doc_id": "a", "length": 5, "token_file": "t.bin", "offset": 0}\n'
+        '{"doc_id": "b", "length": 5, "token_file": "t.bin", "offset": 20}\n'
+    )
+    message = "line 1: unresolvable token_ref for 'a': store size 41 is not a multiple of 4"
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        ingest_corpus(path, mode="full")
+
+
 def test_full_mode_round_trips_through_store(tmp_path):
     rng = random.Random(3)
     corpus_path, tokens = write_token_corpus(tmp_path, [3, 5, 1], rng)
@@ -143,6 +158,42 @@ def test_file_store_rejects_unknown_and_out_of_range(tmp_path):
         store.get("ghost", 0, 1)
     with pytest.raises(EmitError, match="outside document"):
         store.get("d0", 0, 4)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda p: p.unlink(), "cannot open token store 'tokens.bin': "),
+        (lambda p: os.truncate(p, 8), "token_ref for 'd1' exceeds store 'tokens.bin'"),
+        (
+            lambda p: p.write_bytes(p.read_bytes() + b"\x00"),
+            "cannot open token store 'tokens.bin': store size 41 is not a multiple of 4",
+        ),
+    ],
+    ids=["removed", "truncated", "partial_id"],
+)
+def test_file_store_rejects_store_changed_after_ingest(tmp_path, change, message):
+    corpus_path, _ = write_token_corpus(tmp_path, [3, 5, 2], random.Random(5))
+    store = FileTokenStore(ingest_corpus(corpus_path, mode="full"), base_dir=tmp_path)
+    change(tmp_path / "tokens.bin")
+    with store, pytest.raises(EmitError, match=re.escape(message)):
+        store.get("d1", 0, 5)
+
+
+def test_file_store_reports_read_error(tmp_path):
+    (tmp_path / "sub").mkdir()  # opens for reading, but cannot be read
+    with FileTokenStore([DocumentRecord("a", 2, TokenRef("sub", 0))], base_dir=tmp_path) as store:
+        with pytest.raises(EmitError, match="^cannot read token store 'sub': "):
+            store.get("a", 0, 2)
+
+
+def test_file_store_close(tmp_path):
+    corpus_path, tokens = write_token_corpus(tmp_path, [3], random.Random(6))
+    with FileTokenStore(ingest_corpus(corpus_path, mode="full"), base_dir=tmp_path) as store:
+        assert store.get("d0", 0, 3).tolist() == tokens["d0"]
+    store.close()  # a second close does nothing
+    with pytest.raises(EmitError, match="token store 'tokens.bin' is closed"):
+        store.get("d0", 0, 3)
 
 
 def test_in_memory_store_bounds():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import random
 import struct
 from dataclasses import replace
@@ -15,17 +16,20 @@ from seqpack import (
     DecodeError,
     DocumentRecord,
     EmitError,
+    FileTokenStore,
     InMemoryTokenStore,
     Strategy,
     decode_samples,
     emit_samples,
+    ingest_corpus,
     pack_corpus,
 )
 from seqpack.emitter import MAGIC, VERSION
 from seqpack.longdoc import apply_policy
+from seqpack.manifest_io import write_bytes_atomic
 from seqpack.model import PackedSample, Placement
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, write_token_corpus
 
 HEADER = struct.Struct("<4sHHIQ")
 
@@ -257,6 +261,53 @@ def test_emit_rejects_short_token_store(toy_docs):
 
     with pytest.raises(EmitError, match="token store returned"):
         emit_samples(m, Short(), io.BytesIO())
+
+
+def _file_store_plan(tmp_path):
+    """A 3-document token corpus under pld at L=5, one document per
+    sample, with its ingested records and manifest."""
+    corpus_path, _ = write_token_corpus(tmp_path, [3, 4, 2], random.Random(8))
+    docs = ingest_corpus(corpus_path, mode="full")
+    m = pack_corpus(docs, make_config(Strategy.PAD_LAST_DOCUMENT))
+    assert [[p.doc_id for p in s.placements] for s in m.samples] == [["d0"], ["d1"], ["d2"]]
+    return docs, m
+
+
+def test_store_truncated_after_open_is_a_short_read(tmp_path):
+    docs, m = _file_store_plan(tmp_path)
+    with FileTokenStore(docs, base_dir=tmp_path) as store:
+        blob, summary = _emit(m, store)
+        os.truncate(tmp_path / "tokens.bin", 12)  # d0's three tokens remain
+        message = r"^sample 1: short read of 'd1' from token store 'tokens.bin': 0 of 16 bytes$"
+        with pytest.raises(EmitError, match=message):
+            emit_samples(m, store, io.BytesIO())
+        with pytest.raises(DecodeError, match=message):
+            decode_samples(io.BytesIO(blob), m, store, summary.checksum)
+
+
+def test_failed_emit_leaves_no_output(tmp_path):
+    docs, m = _file_store_plan(tmp_path)
+    store_path = tmp_path / "tokens.bin"
+    before = sorted(tmp_path.iterdir())
+
+    class TruncateStoreAfterFirstSample:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.fh.write(data)
+            self.writes += 1
+            if self.writes == 2:  # the header, then sample 0
+                os.truncate(store_path, 0)
+
+    out = tmp_path / "samples.bin"
+    with FileTokenStore(docs, base_dir=tmp_path) as store:
+        with pytest.raises(EmitError, match="^sample 1: short read of 'd1'"):
+            write_bytes_atomic(
+                out, lambda fh: emit_samples(m, store, TruncateStoreAfterFirstSample(fh))
+            )
+    assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_emit_rejects_boundary_overflow(toy_docs):
