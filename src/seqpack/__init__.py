@@ -43,7 +43,6 @@ from .model import (
     TokenRef,
     effective_length,
 )
-from .oracle import brute_force_min_bins, simulate_reference
 from .strategies import pack_corpus
 from .verify import VerificationReport, Violation, verify_manifest
 
@@ -75,7 +74,6 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "apply_policy",
-    "brute_force_min_bins",
     "compare_strategies",
     "compute_metrics",
     "corpus_stats",
@@ -88,7 +86,6 @@ __all__ = [
     "pack_corpus",
     "read_manifest",
     "scaled_token_budget",
-    "simulate_reference",
     "verify_manifest",
     "write_manifest",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -81,7 +82,7 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
     """Read a line-delimited corpus into document records, keeping file
     order.  ``mode`` is ``"lengths_only"`` (default) or ``"full"``; full
     mode requires every record's token reference to resolve — the store
-    file must exist and hold a whole number of 4-byte ids, the offset
+    must be a regular file holding a whole number of 4-byte ids, the offset
     must be 4-byte aligned, and the span must lie within the file."""
     if mode not in ("lengths_only", "full"):
         raise ConfigError(f"unknown ingest mode {mode!r}")
@@ -113,12 +114,18 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
                     if not fpath.is_absolute():
                         fpath = path.parent / fpath
                     try:
-                        size = os.stat(fpath).st_size
+                        st = os.stat(fpath)
                     except OSError:
                         raise CorpusError(
                             f"line {line_no}: unresolvable token_ref for "
                             f"{doc_id!r}: missing store {ref.file!r}"
                         ) from None
+                    if not stat.S_ISREG(st.st_mode):
+                        raise CorpusError(
+                            f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
+                            f"store {ref.file!r} is not a regular file"
+                        )
+                    size = st.st_size
                     if size % _TOKEN_BYTES:
                         raise CorpusError(
                             f"line {line_no}: unresolvable token_ref for {doc_id!r}: "

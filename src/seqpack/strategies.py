@@ -7,8 +7,10 @@ identical manifest.
 
 Capacity accounting is shared: a document charges its token count plus
 one trailing separator (see :func:`seqpack.model.effective_length`).
-The three whole-document strategies charge it to its document's sample;
-concat_then_split cuts the stream, separators included.
+concat_then_split, restart_last_document and pad_last_document fill
+samples in corpus order with one loop and differ only in what happens
+to a document that does not fit the open sample (``_fill_sequential``);
+best_fit places whole documents by bin packing (``_best_fit``).
 """
 
 from __future__ import annotations
@@ -35,70 +37,31 @@ __all__ = ["pack_corpus"]
 _Plan = tuple[list[PackedSample], int]
 
 
-def _concat_then_split(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
-    """Concatenate the whole corpus into one virtual stream and cut it
-    at multiples of the context length.
-
-    Zero padding by construction; documents straddling a cut fragment.
-    The incomplete final chunk is dropped under ``drop_final_partial``
-    (the discarded token count is recorded on the manifest), otherwise
-    it is kept and padded.
-    """
-    L = cfg.context_length
-    sep_cost = cfg.separator_cost
-
-    spans: list[tuple[DocumentRecord, int]] = []
-    pos = 0
-    for doc in docs:
-        spans.append((doc, pos))
-        pos += doc.length + sep_cost
-    stream_len = pos
-
-    if cfg.drop_final_partial:
-        sample_count = stream_len // L
-        retained = sample_count * L
-    else:
-        sample_count = -(-stream_len // L)
-        retained = stream_len
-
-    placements: list[list[Placement]] = [[] for _ in range(sample_count)]
-    separators: list[list[int]] = [[] for _ in range(sample_count)]
-    for doc, s in spans:
-        end = min(s + doc.length, retained)
-        cursor = s
-        while cursor < end:
-            idx = cursor // L
-            seg_end = min(end, (idx + 1) * L)
-            placements[idx].append(
-                Placement(doc.doc_id, cursor - s, seg_end - s, cursor - idx * L)
-            )
-            cursor = seg_end
-        if sep_cost:
-            p = s + doc.length
-            if p < retained:
-                separators[p // L].append(p % L)
-
-    samples = [
-        PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)
-    ]
-    return samples, stream_len - retained
-
-
 def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     """Fill samples in corpus order, one open sample at a time.
 
-    The two sequential strategies differ only in the overflow rule, for
-    a document (with its separator) that does not fit the room left in
-    the open sample.  Under restart_last_document the prefix that fits
-    stays behind as a tail fragment and the document restarts at the
-    head of the next sample; if its tokens land flush on the boundary it
-    completes there instead, separator elided, so no sample begins
-    mid-document.  Under pad_last_document the room left becomes
-    padding and the document starts the next sample whole, so no
-    document fragments; the final partial sample is always kept.
+    The three sequential strategies differ only in the overflow rule,
+    for a document (with its separator) that does not fit the room left
+    in the open sample:
+
+    - concat_then_split: the prefix that fits stays and the rest goes on
+      at offset 0 of the next sample.  Every separator is kept, so one
+      may open a sample.
+    - restart_last_document: the prefix that fits stays behind as a tail
+      fragment and the document restarts at the head of the next
+      sample; if its tokens land flush on the boundary it completes
+      there instead, separator elided, so no sample begins mid-document.
+    - pad_last_document: the room left becomes padding and the document
+      starts the next sample whole, so no document fragments.
+
+    Under ``drop_final_partial`` the final partial sample is discarded
+    (its token count is returned), except under pad_last_document,
+    which always keeps it.
     """
     L = cfg.context_length
-    restart = cfg.strategy is Strategy.RESTART_LAST_DOCUMENT
+    cts = cfg.strategy is Strategy.CONCAT_THEN_SPLIT
+    pad = cfg.strategy is Strategy.PAD_LAST_DOCUMENT
+    sep_cost = cfg.separator_cost
 
     samples: list[PackedSample] = []
     cur_pl: list[Placement] = []
@@ -112,20 +75,27 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
 
     for doc in docs:
         n = doc.length
-        eff = effective_length(n, cfg)
+        eff = n + sep_cost if cts else effective_length(n, cfg)
         rem = L - pos
+        start = 0
         if eff > rem:
-            if restart:
-                # rem <= n here: a tail fragment, or the whole document flush
+            if pad:
+                close()
+            elif rem < n or not cts:
+                # the prefix that fits stays: a fragment, or under restart the
+                # whole document flush; a cts document that overflows by its
+                # separator alone is placed whole below
                 cur_pl.append(Placement(doc.doc_id, 0, rem, pos))
                 close()
-                if rem == n:
+                if cts:
+                    start = rem
+                elif rem == n:
                     continue
-            else:
-                close()
-        cur_pl.append(Placement(doc.doc_id, 0, n, pos))
-        pos += n
+        cur_pl.append(Placement(doc.doc_id, start, n, pos))
+        pos += n - start
         if eff > n:
+            if pos == L:  # only a cts separator lands past a flush document
+                close()
             cur_sep.append(pos)
             pos += 1
         if pos == L:
@@ -133,7 +103,7 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
 
     discarded = 0
     if pos > 0:
-        if restart and cfg.drop_final_partial:
+        if cfg.drop_final_partial and not pad:
             discarded = pos
         else:
             close()
@@ -201,14 +171,6 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     return samples, 0
 
 
-_DISPATCH = {
-    Strategy.CONCAT_THEN_SPLIT: _concat_then_split,
-    Strategy.RESTART_LAST_DOCUMENT: _fill_sequential,
-    Strategy.PAD_LAST_DOCUMENT: _fill_sequential,
-    Strategy.BEST_FIT: _best_fit,
-}
-
-
 def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Plan a corpus as read: apply the configured long-document policy,
     pack with the configured strategy, and record any dropped documents
@@ -216,11 +178,13 @@ def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManife
     corpus.
 
     This is the only way in to the planners.  The policy runs first, so
-    every document a planner sees fits one sample, which the three
-    whole-document strategies rely on.
+    every document a planner sees fits one sample: a concat_then_split
+    document crosses at most one sample boundary, and the whole-document
+    strategies can always place it.
     """
     retained, dropped = apply_policy(docs, cfg)
-    samples, discarded = _DISPATCH[cfg.strategy](retained, cfg)
+    planner = _best_fit if cfg.strategy is Strategy.BEST_FIT else _fill_sequential
+    samples, discarded = planner(retained, cfg)
     summary = CorpusSummary(len(retained), sum(d.length for d in retained), dropped)
     metrics = compute_metrics(samples, retained, cfg.context_length)
     return PackingManifest(cfg, summary, tuple(samples), metrics, discarded)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .model import (
+from seqpack import (
     ConfigError,
     DocumentRecord,
     PackingConfig,

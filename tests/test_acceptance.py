@@ -33,17 +33,16 @@ from seqpack import (
     PackingConfig,
     Strategy,
     TokenRef,
-    brute_force_min_bins,
     decode_samples,
     emit_samples,
     pack_corpus,
     scaled_token_budget,
-    simulate_reference,
     verify_manifest,
 )
 from seqpack.cli import main
 from seqpack.longdoc import apply_policy
 
+from oracle import brute_force_min_bins, simulate_reference
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, write_token_corpus
 
 _POLICIES = (LongDocPolicy.SPLIT, LongDocPolicy.SLIDE, LongDocPolicy.DROP)

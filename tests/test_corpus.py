@@ -140,6 +140,15 @@ def test_full_mode_rejects_store_of_partial_ids(tmp_path):
         ingest_corpus(path, mode="full")
 
 
+def test_full_mode_rejects_store_that_is_not_a_regular_file(tmp_path):
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "a", "length": 1, "token_file": "sub", "offset": 0}\n')
+    message = "line 1: unresolvable token_ref for 'a': store 'sub' is not a regular file"
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        ingest_corpus(path, mode="full")
+
+
 def test_full_mode_round_trips_through_store(tmp_path):
     rng = random.Random(3)
     corpus_path, tokens = write_token_corpus(tmp_path, [3, 5, 1], rng)

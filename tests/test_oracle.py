@@ -9,11 +9,10 @@ from seqpack import (
     ConfigError,
     DocumentRecord,
     Strategy,
-    brute_force_min_bins,
     pack_corpus,
-    simulate_reference,
 )
 
+from oracle import brute_force_min_bins, simulate_reference
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
 
 

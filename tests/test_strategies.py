@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqpack import (
+    DocumentRecord,
     LongDocPolicy,
     Strategy,
     effective_length,
@@ -182,6 +183,35 @@ def test_pad_never_fragments_property():
             assert s.occupied_tokens <= 12
 
 
+# --- the three sequential overflow rules ---------------------------------------
+
+@pytest.mark.parametrize(
+    "strategy, want_samples, want_discarded",
+    [
+        # the stream keeps every separator, so a's opens sample 1
+        (
+            Strategy.CONCAT_THEN_SPLIT,
+            [([("a", 0, 4, 0)], ()), ([("b", 0, 2, 1)], (0, 3))],
+            0,
+        ),
+        # a completes flush, separator elided; b and its separator are the tail
+        (Strategy.RESTART_LAST_DOCUMENT, [([("a", 0, 4, 0)], ())], 3),
+        # a fills sample 0 whole; the final partial sample is kept
+        (
+            Strategy.PAD_LAST_DOCUMENT,
+            [([("a", 0, 4, 0)], ()), ([("b", 0, 2, 0)], (2,))],
+            0,
+        ),
+    ],
+    ids=["cts", "restart", "pad"],
+)
+def test_separator_after_a_flush_document(strategy, want_samples, want_discarded):
+    cfg = make_config(strategy, context_length=4)
+    m = pack_corpus([DocumentRecord("a", 4), DocumentRecord("b", 2)], cfg)
+    assert [(_spans(s), s.separator_positions) for s in m.samples] == want_samples
+    assert m.discarded_tail_tokens == want_discarded
+
+
 # --- best_fit ----------------------------------------------------------------
 
 def test_best_fit_toy_layout(toy_docs):
@@ -246,7 +276,7 @@ def test_best_fit_full_doc_elides_separator():
 
 
 def test_best_fit_matches_naive_quadratic_on_random_corpora():
-    from seqpack.oracle import simulate_reference
+    from oracle import simulate_reference
 
     rng = random.Random(23)
     for _ in range(40):
