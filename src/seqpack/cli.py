@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
@@ -173,8 +175,21 @@ def _build_config(args: argparse.Namespace, strategy_required: bool = True) -> P
     return PackingConfig(**values)
 
 
+def _refuse_input_as_out(out: str, inputs: Iterable[str | Path]) -> None:
+    """``ConfigError`` if ``out`` exists and is the same file as one of
+    ``inputs``: replacing it would destroy an input the command reads."""
+    for path in inputs:
+        try:
+            same = os.path.samefile(out, path)
+        except OSError:  # either file is missing
+            continue
+        if same:
+            raise ConfigError(f"--out {out} is an input of this command: {path}")
+
+
 def _cmd_pack(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    _refuse_input_as_out(args.out, filter(None, (args.corpus, args.config)))
     docs = ingest_corpus(args.corpus)
     manifest = pack_corpus(docs, cfg)
     write_manifest(manifest, args.out)
@@ -216,6 +231,8 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     corpus_path = Path(args.corpus)
     docs = ingest_corpus(corpus_path, mode="full")
+    stores = [corpus_path.parent / f for f in sorted({d.token_ref.file for d in docs})]
+    _refuse_input_as_out(args.out, [corpus_path, args.manifest, *stores])
     # emit checks sample layouts, not the plan against the corpus: verify first
     problems = verify_manifest(manifest, docs).violations
     if problems:

@@ -20,9 +20,7 @@ import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import (
     _TOKEN_BYTES,
@@ -35,6 +33,9 @@ from .model import (
     TokenRef,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "ingest_corpus",
     "CorpusStats",
@@ -44,7 +45,7 @@ __all__ = [
     "InMemoryTokenStore",
 ]
 
-_TOKEN_DTYPE = np.dtype("<u4")
+_TOKEN_DTYPE = "<u4"  # numpy is imported on first use: only emit needs it
 
 
 def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
@@ -274,6 +275,8 @@ class FileTokenStore:
         fd, count = self._store(ref.file)
         if base + end > count:
             raise EmitError(f"token_ref for {doc_id!r} exceeds store {ref.file!r}")
+        import numpy as np
+
         out = np.empty(end - start, dtype=_TOKEN_DTYPE)
         try:
             got = os.preadv(fd, [out], (base + start) * _TOKEN_BYTES)
@@ -291,6 +294,8 @@ class InMemoryTokenStore:
     """Token lookup over a plain mapping of doc_id to token ids."""
 
     def __init__(self, tokens: dict[str, Sequence[int]]) -> None:
+        import numpy as np
+
         self._tokens = {
             doc_id: np.asarray(ids, dtype=_TOKEN_DTYPE) for doc_id, ids in tokens.items()
         }

@@ -21,12 +21,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import IO, Protocol
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Protocol
 
 from .model import DecodeError, EmitError, PackedSample, PackingConfig, PackingManifest
 from .verify import _sample_layout
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAGIC",
@@ -99,6 +100,8 @@ def _render(
     occupied, problems = _sample_layout(i, sample, L)
     if problems:
         raise EmitError(str(problems[0]))
+    import numpy as np  # on first use, so that only emit and decode load numpy
+
     tokens = np.full(L, cfg.padding_id, dtype="<u4")
     mask = np.ones(L, dtype=np.uint8)
     for p in sample.placements:
@@ -125,6 +128,8 @@ def _render(
 def _difference(i: int, sample: PackedSample, got: bytes, want: bytes, L: int) -> str:
     """Name the first plane in which a sample read differs from its rendering."""
     if got[: 4 * L] != want[: 4 * L]:
+        import numpy as np
+
         diff = np.frombuffer(got, "<u4", L) != np.frombuffer(want, "<u4", L)
         off = int(np.flatnonzero(diff)[0])
         for p in sample.placements:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
@@ -160,12 +159,18 @@ def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:
     a half-written file.  Returns what ``write`` returned; on any
     exception the sibling is removed and ``path`` is left as it was.  A
     path whose sibling cannot be made, or that cannot be replaced,
-    raises ``ConfigError``."""
+    raises ``ConfigError``.  The file gets the mode ``open()`` gives a new
+    file, ``0o666`` less the umask."""
     path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+        try:  # the kernel applies the umask to 0o666, as for open()
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "wb") as fh:
             result = write(fh)

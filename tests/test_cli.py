@@ -255,6 +255,37 @@ def test_unwritable_out_is_exit_1(tmp_path, capsys, command, target, reason):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("pack", "corpus.jsonl"),
+        ("pack", "cfg.json"),
+        ("emit", "corpus.jsonl"),
+        ("emit", "m.json"),
+        ("emit", "tokens.bin"),
+    ],
+)
+def test_out_that_names_an_input_is_exit_1(tmp_path, capsys, command, target):
+    corpus, _ = write_token_corpus(tmp_path, [4, 3, 2, 1], random.Random(9))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"context_length": 5, "strategy": "pld"}))
+    manifest_path = tmp_path / "m.json"
+    _run(capsys, ["pack", "--config", str(config), str(corpus), "--out", str(manifest_path)])
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    out = tmp_path / target
+    # the same file under another spelling is still refused
+    spelled = f"{tmp_path}/../{tmp_path.name}/{target}"
+    if command == "pack":
+        argv = ["pack", "--config", str(config), str(corpus), "--out", spelled]
+    else:
+        argv = ["emit", str(corpus), "--manifest", str(manifest_path), "--out", spelled,
+                "--decode-check"]
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: --out {spelled} is an input of this command: {out}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_emit_with_decode_check(tmp_path, capsys):
     rng = random.Random(71)
     corpus, _ = write_token_corpus(tmp_path, TOY, rng)
@@ -615,3 +646,44 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "pack" in proc.stdout
+
+
+_NUMPY_PROBE = """
+import json, sys
+
+import seqpack
+import seqpack.cli
+
+corpus, manifest, out = sys.argv[1:]
+loaded = {"import": "numpy" in sys.modules}
+commands = {
+    "pack": ["pack", "--context-length", "5", "--strategy", "pld", corpus, "--out", manifest],
+    "verify": ["verify", corpus, "--manifest", manifest],
+    "compare": ["compare", "--context-length", "5", corpus],
+    "stats": ["stats", corpus, "--context-length", "5"],
+    "emit": ["emit", corpus, "--manifest", manifest, "--out", out, "--decode-check"],
+}
+for name, argv in commands.items():
+    assert seqpack.cli.main(argv) == 0, name
+    loaded[name] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_emit_loads_numpy(tmp_path):
+    # the suite has numpy loaded already, so ask a fresh interpreter
+    import subprocess
+    import sys
+
+    corpus, _ = write_token_corpus(tmp_path, TOY, random.Random(10))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(corpus), str(tmp_path / "m.json"),
+         str(tmp_path / "s.bin")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import": False, "pack": False, "verify": False, "compare": False, "stats": False,
+        "emit": True,
+    }

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import re
+import stat
 from contextlib import suppress
 
 import pytest
@@ -254,3 +256,17 @@ def test_atomic_write_failure_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError, match="writer failed"):
         write_bytes_atomic(tmp_path / "out.bin", fail_midway)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask_022", "umask_077"]
+)
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_bytes_atomic(tmp_path / "out.bin", lambda fh: fh.write(b"new"))
+        (tmp_path / "plain.bin").write_bytes(b"new")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == mode
