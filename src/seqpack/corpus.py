@@ -18,9 +18,11 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import (
     _TOKEN_BYTES,
@@ -33,9 +35,6 @@ from .model import (
     TokenRef,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "ingest_corpus",
     "CorpusStats",
@@ -44,8 +43,6 @@ __all__ = [
     "FileTokenStore",
     "InMemoryTokenStore",
 ]
-
-_TOKEN_DTYPE = "<u4"  # numpy is imported on first use: only emit needs it
 
 
 def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
@@ -111,11 +108,8 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
                     )
                 size = sizes.get(ref.file)
                 if size is None:
-                    fpath = Path(ref.file)
-                    if not fpath.is_absolute():
-                        fpath = path.parent / fpath
                     try:
-                        st = os.stat(fpath)
+                        st = os.stat(path.parent / ref.file)
                     except OSError:
                         raise CorpusError(
                             f"line {line_no}: unresolvable token_ref for "
@@ -209,8 +203,8 @@ class FileTokenStore:
 
     Built from document records carrying token references.  Each store
     file is opened on first use and shared across documents; a lookup
-    reads its range with one positional read into a new array, so memory
-    holds only the ranges asked for.  ``close()``, or leaving a ``with``
+    reads its range with one positional read into a new ``array('I')``, so
+    memory holds only the ranges asked for.  ``close()``, or leaving a ``with``
     block, closes the files; a lookup after that raises ``EmitError``.
     """
 
@@ -244,11 +238,8 @@ class FileTokenStore:
         if entry is None:
             if self._closed:
                 raise EmitError(f"token store {file!r} is closed")
-            path = Path(file)
-            if not path.is_absolute():
-                path = self._base / path
             try:
-                fd = os.open(path, os.O_RDONLY)
+                fd = os.open(self._base / file, os.O_RDONLY)
             except OSError as exc:
                 raise EmitError(f"cannot open token store {file!r}: {exc}") from None
             size = os.fstat(fd).st_size
@@ -261,7 +252,7 @@ class FileTokenStore:
             entry = self._files[file] = (fd, size // _TOKEN_BYTES)
         return entry
 
-    def get(self, doc_id: str, start: int, end: int) -> np.ndarray:
+    def get(self, doc_id: str, start: int, end: int) -> array:
         entry = self._refs.get(doc_id)
         if entry is None:
             raise EmitError(f"no token data for document {doc_id!r}")
@@ -275,32 +266,37 @@ class FileTokenStore:
         fd, count = self._store(ref.file)
         if base + end > count:
             raise EmitError(f"token_ref for {doc_id!r} exceeds store {ref.file!r}")
-        import numpy as np
-
-        out = np.empty(end - start, dtype=_TOKEN_DTYPE)
+        out = array("I", [0]) * (end - start)
+        nbytes = _TOKEN_BYTES * len(out)
         try:
             got = os.preadv(fd, [out], (base + start) * _TOKEN_BYTES)
         except OSError as exc:
             raise EmitError(f"cannot read token store {ref.file!r}: {exc}") from None
-        if got != out.nbytes:  # the file shrank after it was opened
+        if got != nbytes:  # the file shrank after it was opened
             raise EmitError(
                 f"short read of {doc_id!r} from token store {ref.file!r}: "
-                f"{got} of {out.nbytes} bytes"
+                f"{got} of {nbytes} bytes"
             )
+        if sys.byteorder == "big":  # the store is little-endian
+            out.byteswap()
         return out
 
 
 class InMemoryTokenStore:
-    """Token lookup over a plain mapping of doc_id to token ids."""
+    """Token lookup over a plain mapping of doc_id to token ids, each an
+    integer in ``[0, 2**32)``; any other id raises ``EmitError``."""
 
     def __init__(self, tokens: dict[str, Sequence[int]]) -> None:
-        import numpy as np
+        self._tokens: dict[str, array] = {}
+        for doc_id, ids in tokens.items():
+            try:  # iter(): array() would read bytes as raw machine words
+                self._tokens[doc_id] = array("I", iter(ids))
+            except (TypeError, OverflowError):
+                raise EmitError(
+                    f"token ids of {doc_id!r} must be integers in [0, 2**32)"
+                ) from None
 
-        self._tokens = {
-            doc_id: np.asarray(ids, dtype=_TOKEN_DTYPE) for doc_id, ids in tokens.items()
-        }
-
-    def get(self, doc_id: str, start: int, end: int) -> np.ndarray:
+    def get(self, doc_id: str, start: int, end: int) -> array:
         ids = self._tokens.get(doc_id)
         if ids is None:
             raise EmitError(f"no token data for document {doc_id!r}")

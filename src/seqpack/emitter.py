@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Protocol
+from typing import IO, Protocol
 
 from .model import DecodeError, EmitError, PackedSample, PackingConfig, PackingManifest
 from .verify import _sample_layout
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MAGIC",
@@ -46,7 +45,7 @@ _PLANE_FLAGS = 3  # bit 0: mask plane, bit 1: boundary plane
 
 
 class TokenSource(Protocol):
-    def get(self, doc_id: str, start: int, end: int) -> np.ndarray: ...
+    def get(self, doc_id: str, start: int, end: int) -> array: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,38 +99,37 @@ def _render(
     occupied, problems = _sample_layout(i, sample, L)
     if problems:
         raise EmitError(str(problems[0]))
-    import numpy as np  # on first use, so that only emit and decode load numpy
-
-    tokens = np.full(L, cfg.padding_id, dtype="<u4")
-    mask = np.ones(L, dtype=np.uint8)
+    tokens = array("I", [cfg.padding_id]) * L
+    mask = bytearray(b"\x01") * occupied + bytes(L - occupied)
     for p in sample.placements:
         n = p.end - p.start
         try:
             piece = token_store.get(p.doc_id, p.start, p.end)
         except EmitError as exc:
             raise EmitError(f"sample {i}: {exc}") from None
-        if len(piece) != n:
+        # a slice of the wrong length or type would resize the plane or raise
+        if not (isinstance(piece, array) and piece.typecode == "I" and len(piece) == n):
+            got = f"{len(piece)} ids" if isinstance(piece, array) else type(piece).__name__
             raise EmitError(
-                f"sample {i}: token store returned {len(piece)} ids for "
-                f"{p.doc_id!r} range [{p.start}, {p.end})"
+                f"sample {i}: token store returned {got} for "
+                f"{p.doc_id!r} range [{p.start}, {p.end}), not array('I') of {n} ids"
             )
         tokens[p.offset : p.offset + n] = piece
     for off in sample.separator_positions:
         tokens[off] = cfg.separator_id
         if mask_separators:
             mask[off] = 0
-    mask[occupied:] = 0
-    boundaries = np.array([p.offset for p in sample.placements], dtype="<u4")
-    return tokens.tobytes() + mask.tobytes() + _COUNT.pack(len(boundaries)) + boundaries.tobytes()
+    boundaries = array("I", [p.offset for p in sample.placements])
+    if sys.byteorder == "big":  # the format is little-endian
+        tokens.byteswap()
+        boundaries.byteswap()
+    return b"".join((tokens, mask, _COUNT.pack(len(boundaries)), boundaries))
 
 
 def _difference(i: int, sample: PackedSample, got: bytes, want: bytes, L: int) -> str:
     """Name the first plane in which a sample read differs from its rendering."""
     if got[: 4 * L] != want[: 4 * L]:
-        import numpy as np
-
-        diff = np.frombuffer(got, "<u4", L) != np.frombuffer(want, "<u4", L)
-        off = int(np.flatnonzero(diff)[0])
+        off = next(k for k in range(L) if got[4 * k : 4 * k + 4] != want[4 * k : 4 * k + 4])
         for p in sample.placements:
             if p.offset <= off < p.offset + (p.end - p.start):
                 return f"sample {i} doc {p.doc_id}: tokens differ from the store"

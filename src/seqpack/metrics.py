@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from .longdoc import apply_policy
 from .model import (
     ConfigError,
     DocumentRecord,
@@ -116,10 +117,12 @@ def compare_strategies(
     strategies: Iterable[Strategy],
 ) -> StrategyComparison:
     """Pack one corpus with several strategies under one config and
-    tabulate the metrics; rows keep the requested order."""
+    tabulate the metrics; rows keep the requested order.  The
+    long-document policy runs once: every retained record fits a sample,
+    so ``pack_corpus`` keeps them as they are."""
     from . import strategies as _strategies  # deferred: strategies imports this module
 
-    docs = list(docs)
+    retained, _ = apply_policy(list(docs), cfg)
     rows = []
     for strategy in strategies:
         strategy = Strategy(strategy)
@@ -128,5 +131,5 @@ def compare_strategies(
             strategy=strategy,
             online=cfg.online if strategy is Strategy.BEST_FIT else False,
         )
-        rows.append((strategy, _strategies.pack_corpus(docs, row_cfg).metrics))
+        rows.append((strategy, _strategies.pack_corpus(retained, row_cfg).metrics))
     return StrategyComparison(tuple(rows))

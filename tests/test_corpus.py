@@ -214,6 +214,17 @@ def test_in_memory_store_bounds():
         store.get("b", 0, 1)
 
 
+@pytest.mark.parametrize("ids", [[1.5], ["7"], [-1], [2**32], [1, None], "12", 5])
+def test_in_memory_store_rejects_ids_outside_uint32(ids):
+    # no id is rounded, parsed or wrapped into range
+    with pytest.raises(EmitError, match=re.escape("token ids of 'a' must be integers in [0, 2**32)")):
+        InMemoryTokenStore({"b": [0, 2**32 - 1], "a": ids})
+
+
+def test_in_memory_store_reads_bytes_as_one_id_per_byte():
+    assert InMemoryTokenStore({"a": b"\x07\x00"}).get("a", 0, 2).tolist() == [7, 0]
+
+
 def test_corpus_stats_counts_and_histogram(toy_docs):
     stats = corpus_stats(toy_docs, context_length=3)
     assert stats.document_count == 3

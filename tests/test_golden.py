@@ -12,18 +12,37 @@ say why.  Every manifest must also read back to the same bytes and pass
 The small sweep never holds many open samples at once, so best_fit has
 one more digest at realistic scale: thousands of log-normal documents
 at L=2048, where hundreds of residual sizes are open together.
+
+Sample files have their own digest: part of the sweep is emitted from
+both token stores under every strategy, with and without separators and
+separator masking, with token, separator and padding ids up to
+``2**32 - 1``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
-from seqpack import LongDocPolicy, PackingConfig, Strategy, pack_corpus, verify_manifest
+from seqpack import (
+    DocumentRecord,
+    FileTokenStore,
+    InMemoryTokenStore,
+    LongDocPolicy,
+    PackingConfig,
+    Strategy,
+    TokenRef,
+    emit_samples,
+    pack_corpus,
+    verify_manifest,
+)
+from seqpack.longdoc import apply_policy
 from seqpack.manifest_io import manifest_from_json, manifest_to_json
 
 from util import ALL_STRATEGIES, docs_from_lengths
@@ -36,6 +55,8 @@ GOLDEN_SHA256 = {
 }
 
 BEST_FIT_AT_SCALE_SHA256 = "e0b08bb54f79ae448fb7623c4d0b88c312d48e2dceffc99e67d75608ff4f4ddc"
+
+SAMPLE_STREAM_SHA256 = "b02f89f7e06a37e028f9c0b02f692cd6d18832d81cf00150cc169c7a2b7141cd"
 
 
 def _corpora(seed: int = 20260301, count: int = 200):
@@ -91,3 +112,47 @@ def test_best_fit_bytes_at_scale_match_frozen_digest():
         )
         h.update(manifest_to_json(pack_corpus(docs, cfg)).encode("utf-8"))
     assert h.hexdigest() == BEST_FIT_AT_SCALE_SHA256
+
+
+def test_sample_bytes_match_frozen_digest(tmp_path):
+    top = 2**32 - 1
+    id_pairs = ((1, 0), (top, 0), (0, top), (top - 1, top))  # (separator_id, padding_id)
+    rng = random.Random(20261019)
+    h = hashlib.sha256()
+    for k, (L, overlap, lengths_docs) in enumerate(itertools.islice(_corpora(), 60)):
+        # one token file per corpus; ids cluster at both ends of the uint32 range
+        ids = [rng.choice((0, 1, top - 1, top, rng.getrandbits(32)))
+               for _ in range(sum(d.length for d in lengths_docs))]
+        (tmp_path / f"t{k}.bin").write_bytes(struct.pack(f"<{len(ids)}I", *ids))
+        docs, offset = [], 0
+        for d in lengths_docs:
+            docs.append(DocumentRecord(d.doc_id, d.length, TokenRef(f"t{k}.bin", 4 * offset)))
+            offset += d.length
+        policy = list(LongDocPolicy)[k % len(LongDocPolicy)]
+        separator_id, padding_id = id_pairs[k % len(id_pairs)]
+        for strategy, sep, mask in itertools.product(ALL_STRATEGIES, (True, False), (False, True)):
+            cfg = PackingConfig(
+                context_length=L,
+                strategy=strategy,
+                long_doc_policy=policy,
+                slide_overlap=overlap if policy is LongDocPolicy.SLIDE else None,
+                sep_after_every_doc=sep,
+                drop_final_partial=k % 2 == 0,
+                separator_id=separator_id,
+                padding_id=padding_id,
+            )
+            manifest = pack_corpus(docs, cfg)
+            retained, _ = apply_policy(docs, cfg)
+            memory = InMemoryTokenStore({
+                r.doc_id: ids[r.token_ref.offset // 4 : r.token_ref.offset // 4 + r.length]
+                for r in retained
+            })
+            streams = []
+            with FileTokenStore(retained, tmp_path) as files:
+                for store in (files, memory):
+                    sink = io.BytesIO()
+                    emit_samples(manifest, store, sink, mask_separators=mask)
+                    streams.append(sink.getvalue())
+            assert streams[0] == streams[1]
+            h.update(streams[0])
+    assert h.hexdigest() == SAMPLE_STREAM_SHA256
