@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import BinaryIO, Callable, TypeVar, get_type_hints
 
@@ -54,18 +55,14 @@ def _padding(sample: PackedSample, L: int) -> list[int] | None:
     return [occupied, L] if occupied < L else None
 
 
-def _sample_json(index: int, sample: PackedSample, L: int) -> dict:
-    return {
-        "index": index,
-        "placements": [[p.doc_id, p.start, p.end, p.offset] for p in sample.placements],
-        "separators": list(sample.separator_positions),
-        "padding": _padding(sample, L),
-    }
-
-
-def manifest_to_json(manifest: PackingManifest) -> str:
+def _json_pieces(manifest: PackingManifest):
+    """The manifest's compact JSON in pieces: the head, one piece per
+    sample, then the tail.  With sorted keys ``samples`` comes last, so
+    the head is the other blocks' JSON up to ``"samples":[``.  Doc ids go
+    through the escaper ``json.dumps`` uses, so the pieces join to the
+    bytes ``json.dumps(..., sort_keys=True)`` gives for the whole plan."""
     L = manifest.config.context_length
-    payload = {
+    head = {
         "format": MANIFEST_FORMAT,
         "config": _fields_dict(manifest.config),
         "documents": {
@@ -74,10 +71,36 @@ def manifest_to_json(manifest: PackingManifest) -> str:
             "dropped": list(manifest.documents.dropped),
         },
         "discarded_tail_tokens": manifest.discarded_tail_tokens,
-        "samples": [_sample_json(i, s, L) for i, s in enumerate(manifest.samples)],
         "metrics": _fields_dict(manifest.metrics),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"samples":['
+    comma = ""
+    for index, sample in enumerate(manifest.samples):
+        try:
+            placements = ",".join([
+                f"[{_encode_str(p.doc_id)},{p.start},{p.end},{p.offset}]"
+                for p in sample.placements
+            ])
+        except TypeError:  # the reader accepts only str doc ids
+            for p in sample.placements:
+                if not isinstance(p.doc_id, str):
+                    raise ManifestError(
+                        f"cannot write manifest: sample {index}: doc_id {p.doc_id!r} is not a str"
+                    ) from None
+            raise
+        padding = _padding(sample, L)
+        padding = "null" if padding is None else f"[{padding[0]},{L}]"
+        separators = ",".join(map(str, sample.separator_positions))
+        yield (
+            f'{comma}{{"index":{index},"padding":{padding},'
+            f'"placements":[{placements}],"separators":[{separators}]}}'
+        )
+        comma = ","
+    yield "]}\n"
+
+
+def manifest_to_json(manifest: PackingManifest) -> str:
+    return "".join(_json_pieces(manifest))
 
 
 def _ints(values) -> bool:
@@ -188,8 +211,14 @@ def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:
 
 
 def write_manifest(manifest: PackingManifest, path: str | Path) -> None:
-    data = manifest_to_json(manifest).encode("utf-8")
-    write_bytes_atomic(path, lambda fh: fh.write(data))
+    """Write ``manifest_to_json(manifest)`` to ``path`` atomically, one
+    piece at a time, so the whole text is never held in memory."""
+
+    def write(fh: BinaryIO) -> None:
+        for piece in _json_pieces(manifest):
+            fh.write(piece.encode("utf-8"))
+
+    write_bytes_atomic(path, write)
 
 
 def read_manifest(path: str | Path) -> PackingManifest:

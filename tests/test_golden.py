@@ -3,10 +3,11 @@
 Every strategy packs the same ~200 seeded small corpora (lengths up to
 2L, so the long-document policies get work) under every combination of
 separator, final-drop and long-document policy; best_fit also runs in
-online mode.  The ``manifest_to_json`` bytes of all runs of one strategy
-are hashed into one SHA-256.  A refactor that changes any manifest byte
-changes a digest; a deliberate format change must update the table and
-say why.  Every manifest must also read back to the same bytes and pass
+online mode.  The bytes ``write_manifest`` writes for all runs of one
+strategy, which must equal ``manifest_to_json``'s, are hashed into one
+SHA-256.  A refactor that changes any manifest byte changes a digest; a
+deliberate format change must update the table and say why.  Every
+manifest must also read back to the same plan and pass
 ``verify_manifest``.
 
 The small sweep never holds many open samples at once, so best_fit has
@@ -43,7 +44,7 @@ from seqpack import (
     verify_manifest,
 )
 from seqpack.longdoc import apply_policy
-from seqpack.manifest_io import manifest_from_json, manifest_to_json
+from seqpack.manifest_io import manifest_from_json, manifest_to_json, write_manifest
 
 from util import ALL_STRATEGIES, docs_from_lengths
 
@@ -67,7 +68,15 @@ def _corpora(seed: int = 20260301, count: int = 200):
         yield L, rng.randint(1, L - 1), docs_from_lengths(lengths)
 
 
-def _digest(strategy: Strategy) -> str:
+def _written(manifest, path) -> bytes:
+    """The manifest's file bytes, checked against ``manifest_to_json``."""
+    write_manifest(manifest, path)
+    data = path.read_bytes()
+    assert data == manifest_to_json(manifest).encode("utf-8")
+    return data
+
+
+def _digest(strategy: Strategy, path) -> str:
     h = hashlib.sha256()
     onlines = (False, True) if strategy is Strategy.BEST_FIT else (False,)
     for L, overlap, docs in _corpora():
@@ -84,19 +93,19 @@ def _digest(strategy: Strategy) -> str:
                 online=online,
             )
             manifest = pack_corpus(docs, cfg)
-            text = manifest_to_json(manifest)
-            assert manifest_to_json(manifest_from_json(text)) == text
+            data = _written(manifest, path)
+            assert manifest_from_json(data.decode("utf-8")) == manifest
             assert verify_manifest(manifest, docs).ok
-            h.update(text.encode("utf-8"))
+            h.update(data)
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
-def test_manifest_bytes_match_frozen_digest(strategy):
-    assert _digest(strategy) == GOLDEN_SHA256[strategy]
+def test_manifest_bytes_match_frozen_digest(strategy, tmp_path):
+    assert _digest(strategy, tmp_path / "manifest.json") == GOLDEN_SHA256[strategy]
 
 
-def test_best_fit_bytes_at_scale_match_frozen_digest():
+def test_best_fit_bytes_at_scale_match_frozen_digest(tmp_path):
     # 5000 docs, median ~300 tokens; the few over L are split by policy
     rng = random.Random(20261018)
     docs = docs_from_lengths(
@@ -110,7 +119,7 @@ def test_best_fit_bytes_at_scale_match_frozen_digest():
             sep_after_every_doc=sep,
             online=online,
         )
-        h.update(manifest_to_json(pack_corpus(docs, cfg)).encode("utf-8"))
+        h.update(_written(pack_corpus(docs, cfg), tmp_path / "manifest.json"))
     assert h.hexdigest() == BEST_FIT_AT_SCALE_SHA256
 
 

@@ -6,19 +6,29 @@ import os
 import random
 import re
 import stat
+import tracemalloc
 from contextlib import suppress
+from dataclasses import fields
+from enum import Enum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqpack import (
+    CorpusSummary,
     DecodeError,
+    DocumentRecord,
     EmitError,
     InMemoryTokenStore,
     LongDocPolicy,
     ManifestError,
+    PackedSample,
+    PackingConfig,
     PackingError,
+    PackingManifest,
+    PackingMetrics,
+    Placement,
     Strategy,
     decode_samples,
     emit_samples,
@@ -270,3 +280,144 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == mode
     assert stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == mode
+
+
+def _reference_json(manifest) -> str:
+    """The manifest text as one ``json.dumps`` of a dict payload: the
+    writer's former encoder, kept as the reference for the streamed one."""
+
+    def flat(obj):
+        return {
+            f.name: v.value if isinstance(v := getattr(obj, f.name), Enum) else v
+            for f in fields(obj)
+        }
+
+    L = manifest.config.context_length
+    samples = []
+    for i, s in enumerate(manifest.samples):
+        occupied = len(s.separator_positions) + sum(p.end - p.start for p in s.placements)
+        samples.append({
+            "index": i,
+            "placements": [[p.doc_id, p.start, p.end, p.offset] for p in s.placements],
+            "separators": list(s.separator_positions),
+            "padding": [occupied, L] if occupied < L else None,
+        })
+    payload = {
+        "format": MANIFEST_FORMAT,
+        "config": flat(manifest.config),
+        "documents": {
+            "count": manifest.documents.document_count,
+            "total_tokens": manifest.documents.total_tokens,
+            "dropped": list(manifest.documents.dropped),
+        },
+        "discarded_tail_tokens": manifest.discarded_tail_tokens,
+        "samples": samples,
+        "metrics": flat(manifest.metrics),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, astral and lone surrogates
+_DOC_ID = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\u00e9\u2028\U0001f600\ud800\udfff'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=6,
+)
+_INT = st.integers(0, 2**40)
+
+
+@st.composite
+def _manifests(draw):
+    """Any manifest the writer is given, not only ones a planner makes:
+    free-form doc ids and counts, padding wherever occupancy < L."""
+    L = draw(st.integers(2, 40))
+    cfg = PackingConfig(
+        context_length=L,
+        strategy=draw(st.sampled_from(ALL_STRATEGIES)),
+        separator_id=draw(st.integers(1, 2**32 - 1)),
+        padding_id=0,
+        sep_after_every_doc=draw(st.booleans()),
+        drop_final_partial=draw(st.booleans()),
+    )
+    placement = st.builds(
+        lambda doc_id, start, n, offset: Placement(doc_id, start, start + n, offset),
+        _DOC_ID, _INT, st.integers(0, 30), _INT,
+    )
+    sample = st.builds(
+        PackedSample,
+        st.lists(placement, max_size=4).map(tuple),
+        st.lists(_INT, max_size=4).map(tuple),
+    )
+    rate = st.floats(allow_nan=False, allow_infinity=False)
+    return PackingManifest(
+        cfg,
+        CorpusSummary(draw(_INT), draw(_INT), tuple(draw(st.lists(_DOC_ID, max_size=3)))),
+        tuple(draw(st.lists(sample, max_size=6))),
+        PackingMetrics(draw(_INT), draw(_INT), draw(_INT), draw(_INT), draw(rate), draw(rate)),
+        draw(_INT),
+    )
+
+
+def _toy_manifest(*samples) -> PackingManifest:
+    return PackingManifest(
+        PackingConfig(8, Strategy.BEST_FIT),
+        CorpusSummary(2, 7),
+        samples,
+        PackingMetrics(len(samples), 8 * len(samples), 0, 1, 0.0, 0.125),
+    )
+
+
+_FULL = PackedSample((Placement('a"\\\ud800', 0, 4, 0), Placement("\U0001f600", 0, 3, 5)), (4,))
+_PADDED = PackedSample((Placement("\x00\u00e9", 2, 5, 0),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_manifests())
+@example(_toy_manifest())
+@example(_toy_manifest(_FULL))
+@example(_toy_manifest(_PADDED))
+@example(_toy_manifest(_FULL, _PADDED, _FULL, _PADDED))
+def test_json_matches_one_dumps_of_the_whole_payload(manifest):
+    text = manifest_to_json(manifest)
+    assert text == _reference_json(manifest)
+    assert text.isascii()
+
+
+@pytest.mark.parametrize(
+    "docs, message",
+    [
+        ([DocumentRecord(5, 3)], "sample 0: doc_id 5 is not a str"),
+        # ~1500 good samples fill the write buffer several times before the bad one
+        (docs_from_lengths([3] * 3000) + [DocumentRecord(None, 3)], "sample 1500: doc_id None is not a str"),
+    ],
+    ids=["first_sample", "after_bytes_reached_the_file"],
+)
+def test_write_refuses_a_doc_id_the_reader_rejects(tmp_path, docs, message):
+    # the reader takes only str doc ids, so the writer must not write others
+    manifest = pack_corpus(docs, PackingConfig(8, Strategy.PAD_LAST_DOCUMENT))
+    target = tmp_path / "manifest.json"
+    target.write_bytes(b"old manifest")
+    with pytest.raises(ManifestError, match=f"cannot write manifest: {message}"):
+        manifest_to_json(manifest)
+    with pytest.raises(ManifestError, match=f"cannot write manifest: {message}"):
+        write_manifest(manifest, target)
+    assert target.read_bytes() == b"old manifest"
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_write_memory_does_not_grow_with_the_manifest(tmp_path):
+    # 3000 samples of ~1.6 KB: a ~5 MB file from a plan that shares its rows
+    row = PackedSample(tuple(Placement(f"{k}" * 400, 0, 1, k) for k in range(4)), (1, 2))
+    manifest = _toy_manifest(*[row] * 3000)
+    path = tmp_path / "manifest.json"
+    tracemalloc.start()
+    try:
+        write_manifest(manifest, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 4, (peak, size)
