@@ -38,7 +38,6 @@ from .model import (
     PackingError,
     PackingManifest,
     PackingMetrics,
-    Placement,
     Strategy,
     TokenRef,
     effective_length,
@@ -67,7 +66,6 @@ __all__ = [
     "PackingError",
     "PackingManifest",
     "PackingMetrics",
-    "Placement",
     "Strategy",
     "StrategyComparison",
     "TokenRef",

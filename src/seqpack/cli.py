@@ -252,7 +252,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
         if args.decode_check:
             with open(args.out, "rb") as fh:
                 decode_samples(fh, manifest, store, summary.checksum, mask_separators=args.mask_separators)
-            placed = {p.doc_id for sample in manifest.samples for p in sample.placements}
+            placed = {doc_id for sample in manifest.samples for doc_id, _, _, _ in sample.placements}
             print(f"decode-check: ok ({len(placed)} documents)")
     return EXIT_OK
 

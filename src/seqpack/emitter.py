@@ -101,10 +101,10 @@ def _render(
         raise EmitError(str(problems[0]))
     tokens = array("I", [cfg.padding_id]) * L
     mask = bytearray(b"\x01") * occupied + bytes(L - occupied)
-    for p in sample.placements:
-        n = p.end - p.start
+    for doc_id, start, end, offset in sample.placements:
+        n = end - start
         try:
-            piece = token_store.get(p.doc_id, p.start, p.end)
+            piece = token_store.get(doc_id, start, end)
         except EmitError as exc:
             raise EmitError(f"sample {i}: {exc}") from None
         # a slice of the wrong length or type would resize the plane or raise
@@ -112,14 +112,14 @@ def _render(
             got = f"{len(piece)} ids" if isinstance(piece, array) else type(piece).__name__
             raise EmitError(
                 f"sample {i}: token store returned {got} for "
-                f"{p.doc_id!r} range [{p.start}, {p.end}), not array('I') of {n} ids"
+                f"{doc_id!r} range [{start}, {end}), not array('I') of {n} ids"
             )
-        tokens[p.offset : p.offset + n] = piece
+        tokens[offset : offset + n] = piece
     for off in sample.separator_positions:
         tokens[off] = cfg.separator_id
         if mask_separators:
             mask[off] = 0
-    boundaries = array("I", [p.offset for p in sample.placements])
+    boundaries = array("I", [offset for _, _, _, offset in sample.placements])
     if sys.byteorder == "big":  # the format is little-endian
         tokens.byteswap()
         boundaries.byteswap()
@@ -130,9 +130,9 @@ def _difference(i: int, sample: PackedSample, got: bytes, want: bytes, L: int) -
     """Name the first plane in which a sample read differs from its rendering."""
     if got[: 4 * L] != want[: 4 * L]:
         off = next(k for k in range(L) if got[4 * k : 4 * k + 4] != want[4 * k : 4 * k + 4])
-        for p in sample.placements:
-            if p.offset <= off < p.offset + (p.end - p.start):
-                return f"sample {i} doc {p.doc_id}: tokens differ from the store"
+        for doc_id, start, end, offset in sample.placements:
+            if offset <= off < offset + (end - start):
+                return f"sample {i} doc {doc_id}: tokens differ from the store"
         return f"sample {i}: token plane differs from the manifest at offset {off}"
     if got[4 * L : 5 * L] != want[4 * L : 5 * L]:
         return f"sample {i}: mask plane differs from the manifest"

@@ -46,15 +46,8 @@ def _slide(doc: DocumentRecord, context_length: int, overlap: int) -> list[Docum
     final window is pulled back so it ends flush with the document, so
     every window is full-size and every token is covered at least once.
     """
-    stride = context_length - overlap
-    starts = [0]
-    while starts[-1] + context_length < doc.length:
-        nxt = starts[-1] + stride
-        if nxt + context_length >= doc.length:
-            nxt = doc.length - context_length
-            starts.append(nxt)
-            break
-        starts.append(nxt)
+    last = doc.length - context_length
+    starts = [*range(0, last, context_length - overlap), last]
     return [_chunk(doc, k, s, s + context_length) for k, s in enumerate(starts)]
 
 

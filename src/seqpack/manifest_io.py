@@ -23,7 +23,6 @@ from .model import (
     PackingConfig,
     PackingManifest,
     PackingMetrics,
-    Placement,
 )
 
 __all__ = [
@@ -78,14 +77,14 @@ def _json_pieces(manifest: PackingManifest):
     for index, sample in enumerate(manifest.samples):
         try:
             placements = ",".join([
-                f"[{_encode_str(p.doc_id)},{p.start},{p.end},{p.offset}]"
-                for p in sample.placements
+                f"[{_encode_str(doc_id)},{start},{end},{offset}]"
+                for doc_id, start, end, offset in sample.placements
             ])
         except TypeError:  # the reader accepts only str doc ids
-            for p in sample.placements:
-                if not isinstance(p.doc_id, str):
+            for doc_id, *_ in sample.placements:
+                if not isinstance(doc_id, str):
                     raise ManifestError(
-                        f"cannot write manifest: sample {index}: doc_id {p.doc_id!r} is not a str"
+                        f"cannot write manifest: sample {index}: doc_id {doc_id!r} is not a str"
                     ) from None
             raise
         padding = _padding(sample, L)
@@ -131,7 +130,7 @@ def _sample_from_json(index: int, s: dict, L: int) -> PackedSample:
         if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
             row = json.dumps([doc_id, start, end, offset])
             raise ManifestError(f"{where} placement {row} is not [str, int, int, int]")
-        placements.append(Placement(doc_id, start, end, offset))
+        placements.append((doc_id, start, end, offset))
     separators = s["separators"]
     if type(separators) is not list or not _ints(separators):
         raise ManifestError(f"{where} separators must be a list of ints")

@@ -44,10 +44,10 @@ def compute_metrics(
     fragmented: set[str] = set()
     occupied = 0
     for sample in samples:
-        for p in sample.placements:
-            n = p.end - p.start
-            if n != lengths[p.doc_id]:
-                fragmented.add(p.doc_id)
+        for doc_id, start, end, _ in sample.placements:
+            n = end - start
+            if n != lengths[doc_id]:
+                fragmented.add(doc_id)
             occupied += n
         occupied += len(sample.separator_positions)
     sample_count = len(samples)

@@ -24,7 +24,6 @@ __all__ = [
     "TokenRef",
     "DocumentRecord",
     "PackingConfig",
-    "Placement",
     "PackedSample",
     "CorpusSummary",
     "PackingMetrics",
@@ -175,35 +174,28 @@ def effective_length(length: int, cfg: PackingConfig) -> int:
     return length
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
-    """One contiguous piece of a document inside one sample.
-
-    ``start``/``end`` are a half-open token interval within the
-    document; ``offset`` is where that interval begins inside the
-    sample that holds this placement.
-    """
-
-    doc_id: str
-    start: int
-    end: int
-    offset: int
+# one placement is its manifest row (doc_id, start, end, offset): the
+# half-open token interval [start, end) of the document, which begins at
+# ``offset`` in its sample
+_Placement = tuple[str, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
 class PackedSample:
-    """One fixed-length training sample: placements and separator token
-    positions.  A sample's index is its position in the manifest, and
-    its padding is the suffix ``[occupied_tokens, context_length)``."""
+    """One fixed-length training sample: its placements, as
+    ``(doc_id, start, end, offset)`` rows in manifest order, and its
+    separator token positions.  A sample's index is its position in the
+    manifest, and its padding is the suffix
+    ``[occupied_tokens, context_length)``."""
 
-    placements: tuple[Placement, ...]
+    placements: tuple[_Placement, ...]
     separator_positions: tuple[int, ...] = ()
 
     @property
     def occupied_tokens(self) -> int:
         occupied = len(self.separator_positions)
-        for p in self.placements:  # a loop: manifest IO calls this per sample
-            occupied += p.end - p.start
+        for _, start, end, _ in self.placements:  # a loop: manifest IO calls this per sample
+            occupied += end - start
         return occupied
 
 

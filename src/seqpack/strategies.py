@@ -21,12 +21,12 @@ from heapq import heappop, heappush
 from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
+    _Placement,
     CorpusSummary,
     DocumentRecord,
     PackedSample,
     PackingConfig,
     PackingManifest,
-    Placement,
     Strategy,
     effective_length,
 )
@@ -64,7 +64,7 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     sep_cost = cfg.separator_cost
 
     samples: list[PackedSample] = []
-    cur_pl: list[Placement] = []
+    cur_pl: list[_Placement] = []
     cur_sep: list[int] = []
     pos = 0
 
@@ -85,13 +85,13 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
                 # the prefix that fits stays: a fragment, or under restart the
                 # whole document flush; a cts document that overflows by its
                 # separator alone is placed whole below
-                cur_pl.append(Placement(doc.doc_id, 0, rem, pos))
+                cur_pl.append((doc.doc_id, 0, rem, pos))
                 close()
                 if cts:
                     start = rem
                 elif rem == n:
                     continue
-        cur_pl.append(Placement(doc.doc_id, start, n, pos))
+        cur_pl.append((doc.doc_id, start, n, pos))
         pos += n - start
         if eff > n:
             if pos == L:  # only a cts separator lands past a flush document
@@ -133,7 +133,7 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     live: list[int] = []
     open_at: dict[int, list[int]] = {}
     fills: list[int] = []
-    placements: list[list[Placement]] = []
+    placements: list[list[_Placement]] = []
     separators: list[list[int]] = []
     for doc in items:
         n = doc.length
@@ -151,7 +151,7 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
             placements.append([])
             separators.append([])
         pos = fills[sample_id]
-        placements[sample_id].append(Placement(doc.doc_id, 0, n, pos))
+        placements[sample_id].append((doc.doc_id, 0, n, pos))
         if eff > n:
             separators[sample_id].append(pos + n)
         fill = pos + eff

@@ -20,7 +20,6 @@ from .model import (
     PackedSample,
     PackingManifest,
     PackingMetrics,
-    Placement,
     Strategy,
     effective_length,
 )
@@ -73,17 +72,17 @@ def _sample_layout(i: int, sample: PackedSample, L: int) -> tuple[int, list[Viol
     # (offset, is separator, end) of every in-range piece of the sample
     pieces: list[tuple[int, bool, int]] = []
     last_offset = -1
-    for p in sample.placements:
-        if p.offset <= last_offset:
-            problems.append((p.doc_id, "placements out of order"))
-        last_offset = p.offset
-        n = p.end - p.start
-        if p.start < 0 or n <= 0:
-            problems.append((p.doc_id, f"bad placement range [{p.start}, {p.end})"))
-        elif p.offset < 0 or p.offset + n > L:
-            problems.append((p.doc_id, f"capacity exceeded: offset {p.offset} + length {n} > {L}"))
+    for doc_id, start, end, offset in sample.placements:
+        if offset <= last_offset:
+            problems.append((doc_id, "placements out of order"))
+        last_offset = offset
+        n = end - start
+        if start < 0 or n <= 0:
+            problems.append((doc_id, f"bad placement range [{start}, {end})"))
+        elif offset < 0 or offset + n > L:
+            problems.append((doc_id, f"capacity exceeded: offset {offset} + length {n} > {L}"))
         else:
-            pieces.append((p.offset, False, p.offset + n))
+            pieces.append((offset, False, offset + n))
     for off in sample.separator_positions:
         if 0 <= off < L:
             pieces.append((off, True, off + 1))
@@ -143,9 +142,9 @@ def verify_manifest(
             )
         )
 
-    # doc_id -> (sample position, placement) for every placement that ends
+    # doc_id -> (sample position, start, end) of every placement that ends
     # inside its document, in manifest order; the layout rule judges its start
-    placed: dict[str, list[tuple[int, Placement]]] = {}
+    placed: dict[str, list[tuple[int, int, int]]] = {}
     for i, sample in enumerate(manifest.samples):
         # a head-rule sample starts with a placement; a concat_then_split one
         # may hold only a separator (the kept tail of a k*L + 1 token stream)
@@ -155,23 +154,23 @@ def verify_manifest(
 
         occupied, problems = _sample_layout(i, sample, L)
         v.extend(problems)
-        for p in sample.placements:
-            n = lengths.get(p.doc_id)
+        for doc_id, start, end, _ in sample.placements:
+            n = lengths.get(doc_id)
             if n is None:
-                v.append(Violation(i, p.doc_id, "unknown doc_id"))
-            elif p.end > n:
-                v.append(Violation(i, p.doc_id, f"end {p.end} outside document bounds (length {n})"))
+                v.append(Violation(i, doc_id, "unknown doc_id"))
+            elif end > n:
+                v.append(Violation(i, doc_id, f"end {end} outside document bounds (length {n})"))
             else:
-                placed.setdefault(p.doc_id, []).append((i, p))
+                placed.setdefault(doc_id, []).append((i, start, end))
 
         # the fragmenting strategies fill every sample they keep
         if occupied < L and cfg.drop_final_partial and strategy not in _FRAGMENT_FREE:
             v.append(Violation(i, None, "unexpected padding under zero-padding strategy"))
 
         if strategy in _HEAD_RULE:
-            first = sample.placements[0]
-            if first.offset != 0 or first.start != 0:
-                v.append(Violation(i, first.doc_id, "sample must start with a document head"))
+            doc_id, start, _, offset = sample.placements[0]
+            if offset != 0 or start != 0:
+                v.append(Violation(i, doc_id, "sample must start with a document head"))
 
     complete: set[str] = set()  # restart_last_document: docs placed whole
     for doc_id, pls in placed.items():
@@ -179,25 +178,25 @@ def verify_manifest(
         if strategy in _FRAGMENT_FREE:
             if len(pls) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))
-            first = pls[0][1]
-            if first.start != 0 or first.end != n:
+            _, start, end = pls[0]
+            if start != 0 or end != n:
                 v.append(
                     Violation(None, doc_id, "fragmented document under fragment-free strategy")
                 )
         elif strategy is Strategy.CONCAT_THEN_SPLIT:
             cursor = 0
-            for _, p in pls:
-                if p.start < cursor:
+            for _, start, end in pls:
+                if start < cursor:
                     v.append(Violation(None, doc_id, "duplicate coverage"))
                     break
-                if p.start > cursor:
+                if start > cursor:
                     v.append(Violation(None, doc_id, f"gap in coverage at token {cursor}"))
                     break
-                cursor = p.end
+                cursor = end
         else:  # restart_last_document: prefix fragments only, one restart at most
-            fulls = [i for i, p in pls if p.end == n]
-            partials = [i for i, p in pls if p.end < n]
-            if any(p.start != 0 for _, p in pls):
+            fulls = [i for i, _, end in pls if end == n]
+            partials = [i for i, _, end in pls if end < n]
+            if any(start != 0 for _, start, _ in pls):
                 v.append(Violation(None, doc_id, "placement must start at document offset 0"))
             if len(fulls) > 1 or len(partials) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))

@@ -110,8 +110,8 @@ def sweep():
                     violations.append(f"{where}: nonzero fragmentation")
             if strategy is not Strategy.CONCAT_THEN_SPLIT:
                 for i, s in enumerate(m.samples):
-                    first = s.placements[0]
-                    if first.offset != 0 or first.start != 0:
+                    _, start, _, offset = s.placements[0]
+                    if offset != 0 or start != 0:
                         violations.append(f"{where}: sample {i} head rule")
                         break
         pairs.append(
@@ -255,7 +255,7 @@ def test_emit_decode_round_trip_sweep(announce):
         where = f"trial {trial} {strategy.value} {policy.value} L={L}"
         if result.zero_mask_tokens != manifest.metrics.padding_token_count:
             failures.append(f"{where}: mask/padding disagree")
-        placed = {p.doc_id for sample in manifest.samples for p in sample.placements}
+        placed = {doc_id for sample in manifest.samples for doc_id, *_ in sample.placements}
         if placed != {d.doc_id for d in retained}:
             failures.append(f"{where}: document set mismatch")
         if not verify_manifest(manifest, raw).ok:

@@ -18,6 +18,7 @@ from seqpack import (
     corpus_stats,
     ingest_corpus,
 )
+from seqpack.cli import main
 from seqpack.corpus import render_stats
 
 from util import write_token_corpus
@@ -43,6 +44,25 @@ def test_ingest_reports_malformed_line(tmp_path):
     path.write_text('{"doc_id": "a", "length": 3}\nnot json\n')
     with pytest.raises(CorpusError, match="line 2"):
         ingest_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "malformed record"),
+        ('"x"', "malformed record"),
+        ('{"doc_id": "a"}', "record needs doc_id and length"),
+        ('{"doc_id": 1.5, "length": 3}', "doc_id must be a string"),
+        ('{"doc_id": true, "length": 3}', "doc_id must be a string"),
+    ],
+    ids=["array", "string", "no_length", "float_id", "bool_id"],
+)
+def test_cli_rejects_bad_record_with_line_number(tmp_path, capsys, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n")
+    assert main(["stats", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line 1: {message}\n")
 
 
 def test_ingest_rejects_duplicate_ids(tmp_path):

@@ -27,9 +27,11 @@ from seqpack import (
 from seqpack.emitter import MAGIC, VERSION
 from seqpack.longdoc import apply_policy
 from seqpack.manifest_io import write_bytes_atomic
-from seqpack.model import PackedSample, Placement
+from seqpack.model import PackedSample
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, write_token_corpus
+from util import (
+    ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, replace_row, write_token_corpus,
+)
 
 HEADER = struct.Struct("<4sHHIQ")
 
@@ -116,7 +118,7 @@ def test_decode_rejects_token_that_differs_from_store(toy_docs):
     # concat places B's first token at the end of sample 0 (offset 4) and
     # the rest at the head of sample 1; flip that first token
     m = pack_corpus(toy_docs, make_config(Strategy.CONCAT_THEN_SPLIT))
-    assert m.samples[0].placements[-1] == Placement("B", 0, 1, 4)
+    assert m.samples[0].placements[-1] == ("B", 0, 1, 4)
     blob, _ = _emit(m)
     i = HEADER.size + 4 * 4
     tampered = blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1 :]
@@ -246,7 +248,7 @@ def test_decode_checks_placement_before_use(toy_docs, change, message):
     # tokens at offset 0) was edited: no numpy error, only DecodeError
     m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
-    first = replace(m.samples[0].placements[0], **change)
+    first = replace_row(m.samples[0].placements[0], **change)
     bad = replace(m, samples=(replace(m.samples[0], placements=(first,)),) + m.samples[1:])
     with pytest.raises(DecodeError, match=message):
         decode_samples(io.BytesIO(blob), bad, _toy_store(), summary.checksum)
@@ -269,7 +271,7 @@ def _file_store_plan(tmp_path):
     corpus_path, _ = write_token_corpus(tmp_path, [3, 4, 2], random.Random(8))
     docs = ingest_corpus(corpus_path, mode="full")
     m = pack_corpus(docs, make_config(Strategy.PAD_LAST_DOCUMENT))
-    assert [[p.doc_id for p in s.placements] for s in m.samples] == [["d0"], ["d1"], ["d2"]]
+    assert [[doc_id for doc_id, *_ in s.placements] for s in m.samples] == [["d0"], ["d1"], ["d2"]]
     return docs, m
 
 
@@ -313,9 +315,7 @@ def test_failed_emit_leaves_no_output(tmp_path):
 def test_emit_rejects_boundary_overflow(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     # graft 65536 single-token placements onto one sample
-    many = tuple(
-        Placement("A", 0, 1, 0) for _ in range(65536)
-    )
+    many = (("A", 0, 1, 0),) * 65536
     bad = replace(m, samples=(replace(m.samples[0], placements=many),) + m.samples[1:])
     with pytest.raises(EmitError, match="boundary plane holds at most"):
         emit_samples(bad, _toy_store(), io.BytesIO())
@@ -324,12 +324,12 @@ def test_emit_rejects_boundary_overflow(toy_docs):
 @pytest.mark.parametrize(
     "placements, separators, message",
     [
-        ((Placement("A", 0, 3, 3),), (3,), "doc A: capacity exceeded: offset 3 \\+ length 3 > 5"),
-        ((Placement("A", -1, 2, 0),), (3,), "doc A: bad placement range \\[-1, 2\\)"),
-        ((Placement("A", 0, 3, 0),), (5,), "separator position 5 out of range"),
-        ((Placement("A", 0, 3, 0),), (-1,), "separator position -1 out of range"),
+        ((("A", 0, 3, 3),), (3,), "doc A: capacity exceeded: offset 3 \\+ length 3 > 5"),
+        ((("A", -1, 2, 0),), (3,), "doc A: bad placement range \\[-1, 2\\)"),
+        ((("A", 0, 3, 0),), (5,), "separator position 5 out of range"),
+        ((("A", 0, 3, 0),), (-1,), "separator position -1 out of range"),
         (
-            (Placement("A", 0, 3, 0), Placement("B", 0, 1, 2)),
+            (("A", 0, 3, 0), ("B", 0, 1, 2)),
             (3,),
             "overlapping spans within sample",
         ),

@@ -7,8 +7,8 @@ online mode.  The bytes ``write_manifest`` writes for all runs of one
 strategy, which must equal ``manifest_to_json``'s, are hashed into one
 SHA-256.  A refactor that changes any manifest byte changes a digest; a
 deliberate format change must update the table and say why.  Every
-manifest must also read back to the same plan and pass
-``verify_manifest``.
+manifest must also read back to the same plan, whose placements are the
+manifest's rows as tuples, and pass ``verify_manifest``.
 
 The small sweep never holds many open samples at once, so best_fit has
 one more digest at realistic scale: thousands of log-normal documents
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import json
 import math
 import random
 import struct
@@ -94,7 +95,11 @@ def _digest(strategy: Strategy, path) -> str:
             )
             manifest = pack_corpus(docs, cfg)
             data = _written(manifest, path)
-            assert manifest_from_json(data.decode("utf-8")) == manifest
+            text = data.decode("utf-8")
+            read = manifest_from_json(text)
+            assert read == manifest
+            rows = [s["placements"] for s in json.loads(text)["samples"]]
+            assert [s.placements for s in read.samples] == [tuple(map(tuple, r)) for r in rows]
             assert verify_manifest(manifest, docs).ok
             h.update(data)
     return h.hexdigest()

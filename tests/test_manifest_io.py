@@ -28,7 +28,6 @@ from seqpack import (
     PackingError,
     PackingManifest,
     PackingMetrics,
-    Placement,
     Strategy,
     decode_samples,
     emit_samples,
@@ -295,10 +294,10 @@ def _reference_json(manifest) -> str:
     L = manifest.config.context_length
     samples = []
     for i, s in enumerate(manifest.samples):
-        occupied = len(s.separator_positions) + sum(p.end - p.start for p in s.placements)
+        occupied = len(s.separator_positions) + sum(end - start for _, start, end, _ in s.placements)
         samples.append({
             "index": i,
-            "placements": [[p.doc_id, p.start, p.end, p.offset] for p in s.placements],
+            "placements": [list(row) for row in s.placements],
             "separators": list(s.separator_positions),
             "padding": [occupied, L] if occupied < L else None,
         })
@@ -342,7 +341,7 @@ def _manifests(draw):
         drop_final_partial=draw(st.booleans()),
     )
     placement = st.builds(
-        lambda doc_id, start, n, offset: Placement(doc_id, start, start + n, offset),
+        lambda doc_id, start, n, offset: (doc_id, start, start + n, offset),
         _DOC_ID, _INT, st.integers(0, 30), _INT,
     )
     sample = st.builds(
@@ -369,8 +368,8 @@ def _toy_manifest(*samples) -> PackingManifest:
     )
 
 
-_FULL = PackedSample((Placement('a"\\\ud800', 0, 4, 0), Placement("\U0001f600", 0, 3, 5)), (4,))
-_PADDED = PackedSample((Placement("\x00\u00e9", 2, 5, 0),))
+_FULL = PackedSample((('a"\\\ud800', 0, 4, 0), ("\U0001f600", 0, 3, 5)), (4,))
+_PADDED = PackedSample((("\x00\u00e9", 2, 5, 0),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,7 +408,7 @@ def test_write_refuses_a_doc_id_the_reader_rejects(tmp_path, docs, message):
 
 def test_write_memory_does_not_grow_with_the_manifest(tmp_path):
     # 3000 samples of ~1.6 KB: a ~5 MB file from a plan that shares its rows
-    row = PackedSample(tuple(Placement(f"{k}" * 400, 0, 1, k) for k in range(4)), (1, 2))
+    row = PackedSample(tuple((f"{k}" * 400, 0, 1, k) for k in range(4)), (1, 2))
     manifest = _toy_manifest(*[row] * 3000)
     path = tmp_path / "manifest.json"
     tracemalloc.start()

@@ -9,7 +9,7 @@ from seqpack import (
     Strategy,
     effective_length,
 )
-from seqpack.model import PackedSample, Placement
+from seqpack.model import PackedSample
 
 
 def _cfg(**kw):
@@ -99,7 +99,7 @@ def test_effective_length_rule():
 
 
 def test_placement_and_sample_accessors():
-    p = Placement("d", 2, 6, 1)
+    p = ("d", 2, 6, 1)
     s = PackedSample((p,), (5,))
     assert s.occupied_tokens == 5
     bare = PackedSample((p,))

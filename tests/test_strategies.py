@@ -19,7 +19,7 @@ from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
 
 
 def _spans(sample):
-    return [(p.doc_id, p.start, p.end, p.offset) for p in sample.placements]
+    return list(sample.placements)
 
 
 # --- concat_then_split -------------------------------------------------------
@@ -64,7 +64,7 @@ def test_concat_without_separators():
 def test_concat_handles_long_docs_via_split_policy():
     cfg = make_config(Strategy.CONCAT_THEN_SPLIT, context_length=4)
     m = pack_corpus(docs_from_lengths([11], prefix="big"), cfg)
-    placed = {p.doc_id for s in m.samples for p in s.placements}
+    placed = {doc_id for s in m.samples for doc_id, *_ in s.placements}
     assert placed <= {"big0#0", "big0#1", "big0#2"}
     # stream: 4+1 + 4+1 + 3+1 = 14 tokens -> three full samples, 2 dropped
     assert m.metrics.sample_count == 3
@@ -227,7 +227,7 @@ def test_best_fit_toy_layout(toy_docs):
 def test_best_fit_two_bins_fixture():
     cfg = make_config(Strategy.BEST_FIT, context_length=8, sep_after_every_doc=False)
     m = pack_corpus(docs_from_lengths([5, 4, 3, 3, 1]), cfg)
-    bins = [[p.doc_id for p in s.placements] for s in m.samples]
+    bins = [[doc_id for doc_id, *_ in s.placements] for s in m.samples]
     assert bins == [["d0", "d2"], ["d1", "d3", "d4"]]
     assert m.metrics.padding_token_count == 0
 
@@ -242,7 +242,7 @@ def test_best_fit_padding_fixture():
 def test_best_fit_ties_broken_by_doc_id():
     cfg = make_config(Strategy.BEST_FIT, context_length=4, sep_after_every_doc=False)
     m = pack_corpus(docs_from_lengths([2, 2, 2, 2]), cfg)
-    bins = [[p.doc_id for p in s.placements] for s in m.samples]
+    bins = [[doc_id for doc_id, *_ in s.placements] for s in m.samples]
     # equal lengths keep corpus order: d0 with d1, d2 with d3
     assert bins == [["d0", "d1"], ["d2", "d3"]]
 
@@ -251,7 +251,7 @@ def test_best_fit_prefers_tightest_bin():
     cfg = make_config(Strategy.BEST_FIT, context_length=10, sep_after_every_doc=False)
     # after 7 and 6 open bins, the 3 fits both; residual 3 beats residual 4
     m = pack_corpus(docs_from_lengths([7, 6, 3, 2]), cfg)
-    bins = [[p.doc_id for p in s.placements] for s in m.samples]
+    bins = [[doc_id for doc_id, *_ in s.placements] for s in m.samples]
     assert bins == [["d0", "d2"], ["d1", "d3"]]
 
 
@@ -263,8 +263,8 @@ def test_best_fit_online_keeps_input_order():
     docs = docs_from_lengths([4, 5, 4])
     offline = pack_corpus(docs, offline_cfg)
     online = pack_corpus(docs, online_cfg)
-    assert [p.doc_id for p in offline.samples[0].placements] == ["d1"]
-    assert [p.doc_id for p in online.samples[0].placements] == ["d0", "d2"]
+    assert [doc_id for doc_id, *_ in offline.samples[0].placements] == ["d1"]
+    assert [doc_id for doc_id, *_ in online.samples[0].placements] == ["d0", "d2"]
     assert offline.metrics.sample_count == online.metrics.sample_count == 2
 
 
@@ -315,7 +315,9 @@ def test_best_fit_picks_smallest_sufficient_residual_lowest_id(case):
     docs, cfg = case
     L = cfg.context_length
     m = pack_corpus(docs, cfg)
-    where = {p.doc_id: (i, p.offset) for i, s in enumerate(m.samples) for p in s.placements}
+    where = {
+        doc_id: (i, offset) for i, s in enumerate(m.samples) for doc_id, _, _, offset in s.placements
+    }
 
     order = docs
     if not cfg.online:
@@ -348,15 +350,15 @@ def test_all_strategies_respect_capacity_and_coverage():
             m = pack_corpus(docs, cfg)
             for s in m.samples:
                 assert s.occupied_tokens <= 12
-                for p in s.placements:
-                    assert 0 <= p.start < p.end <= lengths[int(p.doc_id[1:])]
+                for doc_id, start, end, _ in s.placements:
+                    assert 0 <= start < end <= lengths[int(doc_id[1:])]
 
 
 def test_pack_corpus_applies_long_doc_policy():
     cfg = make_config(Strategy.BEST_FIT, context_length=4, long_doc_policy=LongDocPolicy.DROP)
     m = pack_corpus(docs_from_lengths([3, 9, 4]), cfg)
     assert m.documents.dropped == ("d1",)
-    placed = {p.doc_id for s in m.samples for p in s.placements}
+    placed = {doc_id for s in m.samples for doc_id, *_ in s.placements}
     assert placed == {"d0", "d2"}
 
 

@@ -7,14 +7,13 @@ import pytest
 
 from seqpack import (
     LongDocPolicy,
-    Placement,
     Strategy,
     pack_corpus,
     verify_manifest,
 )
 from seqpack.metrics import compute_metrics
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, replace_row
 
 
 def _messages(report):
@@ -54,7 +53,7 @@ def _tamper_sample(manifest, sample_idx, **changes):
 def _tamper_placement(manifest, sample_idx, placement_idx, **changes):
     sample = manifest.samples[sample_idx]
     pls = list(sample.placements)
-    pls[placement_idx] = replace(pls[placement_idx], **changes)
+    pls[placement_idx] = replace_row(pls[placement_idx], **changes)
     return _tamper_sample(manifest, sample_idx, placements=tuple(pls))
 
 
@@ -99,7 +98,7 @@ def test_detects_duplicate_coverage(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.BEST_FIT)
     # point sample 2's placement at a doc that is already fully placed
     sample2 = manifest.samples[2]
-    dup = replace(sample2.placements[0], doc_id="A", start=0, end=3)
+    dup = replace_row(sample2.placements[0], doc_id="A", start=0, end=3)
     bad = _tamper_sample(manifest, 2, placements=(dup,), separator_positions=(3,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "duplicate coverage" in msgs
@@ -124,7 +123,7 @@ def test_detects_head_rule_violation(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.BEST_FIT)
     # shift sample 1's lone placement off the sample head
     sample = manifest.samples[1]
-    shifted = replace(sample.placements[0], offset=1, start=1)
+    shifted = replace_row(sample.placements[0], offset=1, start=1)
     bad = _tamper_sample(manifest, 1, placements=(shifted,), separator_positions=(4,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "must start with a document head" in msgs
@@ -170,7 +169,7 @@ def test_detects_gap(toy_docs, separators, extra):
     # sample 1 holds B[0,4)+sep; shrink B to [0,3) at offset 0 and move the
     # separator to 4, leaving offset 3 uncovered
     sample = manifest.samples[1]
-    shrunk = replace(sample.placements[0], end=3)
+    shrunk = replace_row(sample.placements[0], end=3)
     bad = _tamper_sample(manifest, 1, placements=(shrunk,), separator_positions=separators)
     msgs = _messages(verify_manifest(bad, docs))
     assert "gap in sample at offset 3" in msgs
@@ -229,12 +228,33 @@ def test_detects_restart_order_violation():
     # a manifest claiming the full copy came before the tail fragment
     docs = docs_from_lengths([4])
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
-    s0 = PackedSample((Placement("d0", 0, 4, 0),), (4,))
-    s1 = PackedSample((Placement("d0", 0, 2, 0),))
+    s0 = PackedSample((("d0", 0, 4, 0),), (4,))
+    s1 = PackedSample((("d0", 0, 2, 0),))
     metrics = compute_metrics([s0, s1], docs, 5)
     bad = PackingManifest(cfg, CorpusSummary(1, 4), (s0, s1), metrics, 0)
     msgs = _messages(verify_manifest(bad, docs))
     assert "restart precedes its tail fragment" in msgs
+
+
+def test_detects_gap_in_concat_coverage(toy_docs):
+    manifest, docs = _pack(toy_docs, Strategy.CONCAT_THEN_SPLIT)
+    # sample 1 opens with B's continuation [1, 4); start it at 2 instead
+    bad = _tamper_placement(manifest, 1, 0, start=2)
+    assert [str(v) for v in verify_manifest(bad, docs).violations] == [
+        "sample 1: gap in sample at offset 2",
+        "doc B: gap in coverage at token 1",
+        "metrics mismatch: padding_token_count stored 0, recomputed 1",
+        "metrics mismatch: padding_rate stored 0.0, recomputed 0.1",
+    ]
+
+
+def test_detects_restart_fragment_off_the_document_head(toy_docs):
+    manifest, docs = _pack(toy_docs, Strategy.RESTART_LAST_DOCUMENT)
+    # sample 0 ends with B's tail fragment [0, 1); move it to [1, 2)
+    bad = _tamper_placement(manifest, 0, 1, start=1, end=2)
+    assert [str(v) for v in verify_manifest(bad, docs).violations] == [
+        "doc B: placement must start at document offset 0",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,13 @@ def make_config(strategy, context_length=5, **kwargs) -> PackingConfig:
     return PackingConfig(context_length=context_length, strategy=strategy, **kwargs)
 
 
+def replace_row(row, **changes) -> tuple:
+    """A placement row ``(doc_id, start, end, offset)`` with the named fields changed."""
+    fields = dict(zip(("doc_id", "start", "end", "offset"), row), **changes)
+    assert len(fields) == 4, f"unknown placement field in {sorted(changes)}"
+    return tuple(fields.values())
+
+
 def random_lengths(rng: random.Random, count: int, max_len: int) -> list[int]:
     return [rng.randint(1, max_len) for _ in range(count)]
 
