@@ -18,7 +18,6 @@ from typing import Iterable
 
 from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
-from .longdoc import apply_policy
 from .manifest_io import read_manifest, write_bytes_atomic, write_manifest
 from .metrics import compare_strategies
 from .model import (
@@ -234,13 +233,13 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     stores = [corpus_path.parent / f for f in sorted({d.token_ref.file for d in docs})]
     _refuse_input_as_out(args.out, [corpus_path, args.manifest, *stores])
     # emit checks sample layouts, not the plan against the corpus: verify first
-    problems = verify_manifest(manifest, docs).violations
+    report = verify_manifest(manifest, docs)
+    problems = report.violations
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
-    # the store resolves the derived chunks the plan places
-    chunks = apply_policy(docs, manifest.config)[0]
-    with FileTokenStore(chunks, base_dir=corpus_path.parent) as store:
+    # the retained records name the derived chunks the plan places
+    with FileTokenStore(report.retained, base_dir=corpus_path.parent) as store:
         summary = write_bytes_atomic(
             args.out,
             lambda fh: emit_samples(manifest, store, fh, mask_separators=args.mask_separators),

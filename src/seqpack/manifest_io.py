@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
-from enum import Enum
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import BinaryIO, Callable, TypeVar, get_type_hints
@@ -39,16 +38,6 @@ MANIFEST_FORMAT = "seqpack-manifest/1"
 _T = TypeVar("_T")
 
 
-def _fields_dict(obj) -> dict:
-    """A flat dataclass as a JSON object: one key per field, enum
-    members written as their values."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        out[f.name] = value.value if isinstance(value, Enum) else value
-    return out
-
-
 def _padding(sample: PackedSample, L: int) -> list[int] | None:
     occupied = sample.occupied_tokens
     return [occupied, L] if occupied < L else None
@@ -63,14 +52,14 @@ def _json_pieces(manifest: PackingManifest):
     L = manifest.config.context_length
     head = {
         "format": MANIFEST_FORMAT,
-        "config": _fields_dict(manifest.config),
+        "config": asdict(manifest.config),
         "documents": {
             "count": manifest.documents.document_count,
             "total_tokens": manifest.documents.total_tokens,
             "dropped": list(manifest.documents.dropped),
         },
         "discarded_tail_tokens": manifest.discarded_tail_tokens,
-        "metrics": _fields_dict(manifest.metrics),
+        "metrics": asdict(manifest.metrics),
     }
     yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"samples":['
     comma = ""

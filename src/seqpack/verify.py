@@ -54,6 +54,7 @@ class Violation:
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     violations: tuple[Violation, ...]
+    retained: tuple[DocumentRecord, ...]  # the policy's output, derived chunks included
 
     @property
     def ok(self) -> bool:
@@ -110,7 +111,9 @@ def verify_manifest(
     The manifest's long-document policy runs first, as in ``pack_corpus``,
     and must drop exactly the manifest's dropped ids; every other check
     judges the retained records, whose true lengths bound placements and
-    fragmentation.  A derived-id collision raises ``CorpusError``.
+    fragmentation.  The report carries those records as ``retained``; a
+    token store built from them resolves every chunk the plan places.  A
+    derived-id collision raises ``CorpusError``.
     """
     cfg = manifest.config
     documents, dropped = apply_policy(documents, cfg)
@@ -145,6 +148,7 @@ def verify_manifest(
     # doc_id -> (sample position, start, end) of every placement that ends
     # inside its document, in manifest order; the layout rule judges its start
     placed: dict[str, list[tuple[int, int, int]]] = {}
+    last = len(manifest.samples) - 1
     for i, sample in enumerate(manifest.samples):
         # a head-rule sample starts with a placement; a concat_then_split one
         # may hold only a separator (the kept tail of a k*L + 1 token stream)
@@ -163,8 +167,9 @@ def verify_manifest(
             else:
                 placed.setdefault(doc_id, []).append((i, start, end))
 
-        # the fragmenting strategies fill every sample they keep
-        if occupied < L and cfg.drop_final_partial and strategy not in _FRAGMENT_FREE:
+        # the fragmenting strategies fill every sample they keep, bar a
+        # final sample kept by --no-final-drop
+        if occupied < L and strategy not in _FRAGMENT_FREE and (cfg.drop_final_partial or i != last):
             v.append(Violation(i, None, "unexpected padding under zero-padding strategy"))
 
         if strategy in _HEAD_RULE:
@@ -260,4 +265,4 @@ def verify_manifest(
                     Violation(None, None, f"metrics mismatch: {field.name} stored {a}, recomputed {b}")
                 )
 
-    return VerificationReport(tuple(v))
+    return VerificationReport(tuple(v), tuple(documents))

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 
 import pytest
 
-from seqpack import cli, ingest_corpus, read_manifest, verify_manifest
+from seqpack import cli, ingest_corpus, longdoc, read_manifest, verify_manifest
 from seqpack.cli import main
 
 from util import write_lengths_corpus, write_token_corpus
@@ -324,6 +325,35 @@ def test_emit_decode_check_with_masked_separators(tmp_path, capsys):
     )
     assert (code, stderr) == (0, "")
     assert stdout.splitlines()[1] == "decode-check: ok (3 documents)"
+
+
+def test_emit_runs_the_long_document_policy_once(tmp_path, capsys, monkeypatch):
+    # verify's report hands the store the derived chunks; count calls at
+    # every seqpack binding of apply_policy, as the layer tracer wraps them
+    corpus, _ = write_token_corpus(tmp_path, [12, 3], random.Random(19))
+    manifest_path = tmp_path / "m.json"
+    _run(
+        capsys,
+        ["pack", "--context-length", "5", "--strategy", "best_fit", str(corpus), "--out", str(manifest_path)],
+    )
+    original, calls = longdoc.apply_policy, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "seqpack" or name.startswith("seqpack.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    code, stdout, _ = _run(
+        capsys,
+        ["emit", str(corpus), "--manifest", str(manifest_path), "--out", str(tmp_path / "s.bin"), "--decode-check"],
+    )
+    assert code == 0
+    assert stdout.splitlines()[1] == "decode-check: ok (4 documents)"
+    assert len(calls) == 1
 
 
 def _open_fds_on(path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqpack import (
+    ConfigError,
     CorpusError,
     DocumentRecord,
     EmitError,
@@ -115,6 +116,13 @@ def test_ingest_total_matches_independent_resummation(tmp_path):
     records = ingest_corpus(path)
     assert len(records) == 1000
     assert sum(r.length for r in records) == expected_total
+
+
+def test_unknown_ingest_mode_is_a_config_error(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "a", "length": 3}\n')
+    with pytest.raises(ConfigError, match=r"^unknown ingest mode 'bogus'$"):
+        ingest_corpus(path, mode="bogus")
 
 
 def test_full_mode_requires_token_refs(tmp_path):

@@ -23,6 +23,7 @@ from seqpack import (
     emit_samples,
     ingest_corpus,
     pack_corpus,
+    verify_manifest,
 )
 from seqpack.emitter import MAGIC, VERSION
 from seqpack.longdoc import apply_policy
@@ -310,6 +311,26 @@ def test_failed_emit_leaves_no_output(tmp_path):
             )
     assert not out.exists()
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_store_built_from_the_verify_report_resolves_derived_chunks(tmp_path):
+    # under split only the policy's output names the chunks the plan places
+    (tmp_path / "t.bin").write_bytes(np.arange(100, 115, dtype="<u4").tobytes())
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(
+        '{"doc_id": "a", "length": 12, "token_file": "t.bin", "offset": 0}\n'
+        '{"doc_id": "b", "length": 3, "token_file": "t.bin", "offset": 48}\n'
+    )
+    docs = ingest_corpus(corpus_path, mode="full")
+    m = pack_corpus(docs, make_config(Strategy.BEST_FIT))
+    with FileTokenStore(docs, base_dir=tmp_path) as raw:
+        with pytest.raises(EmitError, match="no token data for document 'a#0'"):
+            emit_samples(m, raw, io.BytesIO())
+    report = verify_manifest(m, docs)
+    assert report.ok
+    with FileTokenStore(report.retained, base_dir=tmp_path) as store:
+        blob, summary = _emit(m, store)
+        decode_samples(io.BytesIO(blob), m, store, summary.checksum)
 
 
 def test_emit_rejects_boundary_overflow(toy_docs):

@@ -7,10 +7,12 @@ import pytest
 
 from seqpack import (
     LongDocPolicy,
+    PackedSample,
     Strategy,
     pack_corpus,
     verify_manifest,
 )
+from seqpack.longdoc import apply_policy
 from seqpack.metrics import compute_metrics
 
 from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, replace_row
@@ -42,6 +44,19 @@ def test_engine_output_verifies_clean_across_strategies_and_policies():
                 manifest = pack_corpus(docs, cfg)
                 report = verify_manifest(manifest, docs)
                 assert report.ok, f"{strategy} {policy} drop={drop_tail}: {_messages(report)}"
+
+
+@pytest.mark.parametrize(
+    "policy, overlap",
+    [(LongDocPolicy.SPLIT, None), (LongDocPolicy.SLIDE, 2), (LongDocPolicy.DROP, None)],
+    ids=lambda p: getattr(p, "value", p),
+)
+def test_report_holds_the_retained_records(policy, overlap):
+    docs = docs_from_lengths([12, 3, 7, 4])
+    cfg = make_config(Strategy.BEST_FIT, long_doc_policy=policy, slide_overlap=overlap)
+    report = verify_manifest(pack_corpus(docs, cfg), docs)
+    assert report.ok
+    assert report.retained == tuple(apply_policy(docs, cfg)[0])
 
 
 def _tamper_sample(manifest, sample_idx, **changes):
@@ -141,6 +156,20 @@ def test_detects_unexpected_padding_under_zero_padding_strategy(toy_docs):
     )
     msgs = _messages(verify_manifest(bad, docs))
     assert "unexpected padding under zero-padding strategy" in msgs
+
+
+@pytest.mark.parametrize(
+    "strategy", [Strategy.CONCAT_THEN_SPLIT, Strategy.RESTART_LAST_DOCUMENT], ids=lambda s: s.value
+)
+def test_only_a_kept_final_sample_may_pad(toy_docs, strategy):
+    # --no-final-drop keeps a padded final sample, not a padded one
+    # mid-stream: each document alone with its separator, metrics recomputed
+    samples = tuple(PackedSample(((d.doc_id, 0, d.length, 0),), (d.length,)) for d in toy_docs)
+    manifest, docs = _pack(toy_docs, strategy, drop_final_partial=False)
+    bad = replace(manifest, samples=samples, metrics=compute_metrics(samples, docs, 5))
+    assert [str(v) for v in verify_manifest(bad, docs).violations] == [
+        "sample 0: unexpected padding under zero-padding strategy"
+    ]
 
 
 def test_detects_overlapping_spans(toy_docs):
@@ -246,6 +275,14 @@ def test_detects_gap_in_concat_coverage(toy_docs):
         "metrics mismatch: padding_token_count stored 0, recomputed 1",
         "metrics mismatch: padding_rate stored 0.0, recomputed 0.1",
     ]
+
+
+def test_detects_duplicate_concat_coverage(toy_docs):
+    manifest, docs = _pack(toy_docs, Strategy.CONCAT_THEN_SPLIT)
+    # sample 1 opens with B's continuation [1, 4); cover [0, 3) again instead
+    assert manifest.samples[1].placements[0] == ("B", 1, 4, 0)
+    bad = _tamper_placement(manifest, 1, 0, start=0, end=3)
+    assert [str(v) for v in verify_manifest(bad, docs).violations] == ["doc B: duplicate coverage"]
 
 
 def test_detects_restart_fragment_off_the_document_head(toy_docs):
