@@ -20,33 +20,20 @@ from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
 from .manifest_io import read_manifest, write_bytes_atomic, write_manifest
 from .metrics import compare_strategies
-from .model import (
-    ConfigError,
-    CorpusError,
-    DecodeError,
-    EmitError,
-    ManifestError,
-    PackingConfig,
-    PackingError,
-    Strategy,
-)
+from .model import ConfigError, EmitError, PackingConfig, PackingError, Strategy
 from .strategies import pack_corpus
 from .verify import verify_manifest
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_CORPUS = 2
+EXIT_CONFIG = ConfigError.exit_code
 
 _STRATEGY_ALIASES = {
+    **{s.value: s for s in Strategy},
     "cts": Strategy.CONCAT_THEN_SPLIT,
     "concat": Strategy.CONCAT_THEN_SPLIT,
-    "concat_then_split": Strategy.CONCAT_THEN_SPLIT,
     "rld": Strategy.RESTART_LAST_DOCUMENT,
-    "restart_last_document": Strategy.RESTART_LAST_DOCUMENT,
     "pld": Strategy.PAD_LAST_DOCUMENT,
-    "pad_last_document": Strategy.PAD_LAST_DOCUMENT,
     "bfp": Strategy.BEST_FIT,
-    "best_fit": Strategy.BEST_FIT,
 }
 
 _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(PackingConfig))
@@ -67,6 +54,22 @@ def _parse_strategy(name: object) -> Strategy:
         raise ConfigError(f"unknown strategy {name!r}") from None
 
 
+def _add_config_flags(p: argparse.ArgumentParser, with_strategy: bool = True) -> None:
+    """Every flag but --config stores to the PackingConfig field it sets."""
+    p.add_argument("--config", metavar="FILE", help="JSON config file; flags override it")
+    p.add_argument("--context-length", type=int, metavar="L")
+    if with_strategy:
+        p.add_argument("--strategy", metavar="NAME", help="cts|rld|pld|best_fit (full names accepted)")
+    p.add_argument("--long-doc", dest="long_doc_policy", metavar="POLICY", help="split|slide|drop (default split)")
+    p.add_argument("--slide-overlap", type=int, metavar="N")
+    p.add_argument("--sep-id", dest="separator_id", type=int, metavar="ID")
+    p.add_argument("--pad-id", dest="padding_id", type=int, metavar="ID")
+    p.add_argument("--no-final-drop", dest="drop_final_partial", action="store_const", const=False,
+                   help="keep and pad the incomplete final sample")
+    p.add_argument("--online", action="store_true", default=None,
+                   help="best_fit only: place documents in corpus order")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="seqpack",
@@ -74,32 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p: argparse.ArgumentParser, with_strategy: bool = True) -> None:
-        p.add_argument("--config", metavar="FILE", help="JSON config file; flags override it")
-        p.add_argument("--context-length", type=int, metavar="L")
-        if with_strategy:
-            p.add_argument("--strategy", metavar="NAME", help="cts|rld|pld|best_fit (full names accepted)")
-        p.add_argument("--long-doc", metavar="POLICY", help="split|slide|drop (default split)")
-        p.add_argument("--slide-overlap", type=int, metavar="N")
-        p.add_argument("--sep-id", type=int, metavar="ID")
-        p.add_argument("--pad-id", type=int, metavar="ID")
-        p.add_argument("--no-final-drop", action="store_true", default=None,
-                       help="keep and pad the incomplete final sample")
-        p.add_argument("--online", action="store_true", default=None,
-                       help="best_fit only: place documents in corpus order")
-
     pack = sub.add_parser("pack", help="pack a corpus and write a manifest")
-    add_config_flags(pack)
+    _add_config_flags(pack)
     pack.add_argument("corpus", help="line-delimited corpus file")
     pack.add_argument("--out", default="manifest.json", metavar="FILE")
     pack.set_defaults(func=_cmd_pack)
 
     compare = sub.add_parser("compare", help="pack one corpus with several strategies")
-    add_config_flags(compare, with_strategy=False)
+    _add_config_flags(compare, with_strategy=False)
     compare.add_argument("corpus")
     compare.add_argument(
         "--strategies",
-        default="concat_then_split,restart_last_document,pad_last_document,best_fit",
+        default=",".join(s.value for s in Strategy),
         metavar="LIST",
         help="comma-separated strategy names",
     )
@@ -146,20 +135,10 @@ def _build_config(args: argparse.Namespace, strategy_required: bool = True) -> P
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)
 
-    overrides = {
-        "context_length": args.context_length,
-        "strategy": getattr(args, "strategy", None),
-        "long_doc_policy": getattr(args, "long_doc", None),
-        "slide_overlap": getattr(args, "slide_overlap", None),
-        "separator_id": getattr(args, "sep_id", None),
-        "padding_id": getattr(args, "pad_id", None),
-        "online": getattr(args, "online", None),
-    }
-    for key, value in overrides.items():
+    for field in dataclasses.fields(PackingConfig):  # flags override the file
+        value = getattr(args, field.name, None)
         if value is not None:
-            values[key] = value
-    if getattr(args, "no_final_drop", None):
-        values["drop_final_partial"] = False
+            values[field.name] = value
 
     if "strategy" in values:
         values["strategy"] = _parse_strategy(values["strategy"])
@@ -267,15 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except PackingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CorpusError, ManifestError, EmitError, DecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
-    except PackingError as exc:  # safety net for subclasses added later
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

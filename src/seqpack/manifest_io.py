@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -169,10 +170,17 @@ def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:
     writing, then rename the sibling over ``path``, so readers never see
     a half-written file.  Returns what ``write`` returned; on any
     exception the sibling is removed and ``path`` is left as it was.  A
-    path whose sibling cannot be made, or that cannot be replaced,
-    raises ``ConfigError``.  The file gets the mode ``open()`` gives a new
-    file, ``0o666`` less the umask."""
+    path that exists but is not a regular file or a directory (a FIFO,
+    device, socket or symlink), a sibling that cannot be made, and an
+    ``OSError`` while writing or renaming raise ``ConfigError``.  The file
+    gets the mode ``open()`` gives a new file, ``0o666`` less the umask."""
     path = Path(path)
+    try:
+        kind = stat.S_IFMT(os.lstat(path).st_mode)
+    except OSError:  # absent: nothing to refuse, and a missing directory fails below
+        kind = stat.S_IFREG
+    if kind not in (stat.S_IFREG, stat.S_IFDIR):  # a directory fails the rename
+        raise ConfigError(f"cannot write {path}: not a regular file")
     while True:
         tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
         try:  # the kernel applies the umask to 0o666, as for open()
@@ -183,9 +191,9 @@ def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     try:
-        with os.fdopen(fd, "wb") as fh:
-            result = write(fh)
         try:
+            with os.fdopen(fd, "wb") as fh:
+                result = write(fh)
             os.replace(tmp, path)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from None

@@ -35,6 +35,8 @@ __all__ = [
 class PackingError(Exception):
     """Base class for every failure raised by this package."""
 
+    exit_code = 1  # the status seqpack exits with; a subclass inherits its parent's
+
 
 class ConfigError(PackingError):
     """Invalid configuration value or flag combination."""
@@ -43,17 +45,25 @@ class ConfigError(PackingError):
 class CorpusError(PackingError):
     """Malformed or inconsistent corpus input."""
 
+    exit_code = 2
+
 
 class ManifestError(PackingError):
     """Manifest text cannot be parsed or fails schema checks."""
+
+    exit_code = 2
 
 
 class EmitError(PackingError):
     """Sample emission failed (token lookup, corpus mismatch, format limits)."""
 
+    exit_code = 2
+
 
 class DecodeError(PackingError):
     """A packed sample stream cannot be decoded or fails integrity checks."""
+
+    exit_code = 2
 
 
 class Strategy(str, Enum):

@@ -22,6 +22,7 @@ from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
     _Placement,
+    ConfigError,
     CorpusSummary,
     DocumentRecord,
     PackedSample,
@@ -30,6 +31,7 @@ from .model import (
     Strategy,
     effective_length,
 )
+from .verify import _MAX_PLACEMENTS
 
 __all__ = ["pack_corpus"]
 
@@ -180,11 +182,17 @@ def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManife
     This is the only way in to the planners.  The policy runs first, so
     every document a planner sees fits one sample: a concat_then_split
     document crosses at most one sample boundary, and the whole-document
-    strategies can always place it.
+    strategies can always place it.  A sample with more placements than
+    the sample format records, which emit would refuse, is a ``ConfigError``.
     """
     retained, dropped = apply_policy(docs, cfg)
     planner = _best_fit if cfg.strategy is Strategy.BEST_FIT else _fill_sequential
     samples, discarded = planner(retained, cfg)
+    for i, sample in enumerate(samples):
+        count = len(sample.placements)
+        if count > _MAX_PLACEMENTS:
+            raise ConfigError(f"sample {i}: {count} placements; "
+                              f"the boundary plane holds at most {_MAX_PLACEMENTS}")
     summary = CorpusSummary(len(retained), sum(d.length for d in retained), dropped)
     metrics = compute_metrics(samples, retained, cfg.context_length)
     return PackingManifest(cfg, summary, tuple(samples), metrics, discarded)

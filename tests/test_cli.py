@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import random
@@ -7,7 +9,20 @@ import sys
 
 import pytest
 
-from seqpack import cli, ingest_corpus, longdoc, read_manifest, verify_manifest
+from seqpack import (
+    ConfigError,
+    CorpusError,
+    DecodeError,
+    EmitError,
+    ManifestError,
+    PackingConfig,
+    PackingError,
+    cli,
+    ingest_corpus,
+    longdoc,
+    read_manifest,
+    verify_manifest,
+)
 from seqpack.cli import main
 
 from util import write_lengths_corpus, write_token_corpus
@@ -232,8 +247,13 @@ def test_undecodable_input_is_an_error_not_a_traceback(
 
 @pytest.mark.parametrize(
     "target, reason",
-    [("nodir/out.bin", "No such file or directory"), ("adir", "Is a directory")],
-    ids=["missing_dir", "directory"],
+    [
+        ("nodir/out.bin", "No such file or directory"),
+        ("adir", "Is a directory"),
+        ("out.fifo", "not a regular file"),
+        ("link.json", "not a regular file"),
+    ],
+    ids=["missing_dir", "directory", "fifo", "symlink"],
 )
 @pytest.mark.parametrize("command", ["pack", "emit"])
 def test_unwritable_out_is_exit_1(tmp_path, capsys, command, target, reason):
@@ -244,6 +264,9 @@ def test_unwritable_out_is_exit_1(tmp_path, capsys, command, target, reason):
         ["pack", "--context-length", "5", "--strategy", "pld", str(corpus), "--out", str(manifest_path)],
     )
     (tmp_path / "adir").mkdir()
+    os.mkfifo(tmp_path / "out.fifo")
+    (tmp_path / "target.json").write_text("target")
+    (tmp_path / "link.json").symlink_to("target.json")
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / target
     if command == "pack":
@@ -254,6 +277,53 @@ def test_unwritable_out_is_exit_1(tmp_path, capsys, command, target, reason):
     assert (code, stdout) == (1, "")
     assert stderr == f"error: cannot write {out}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "out.fifo").is_fifo() and (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "target.json").read_text() == "target"
+
+
+def test_pack_refuses_a_sample_the_boundary_plane_cannot_hold(tmp_path, capsys):
+    # verify and emit reject a sample of more than 65535 placements
+    corpus = write_lengths_corpus(tmp_path, [1] * 70_000)
+    out = tmp_path / "m.json"
+    argv = ["pack", "--context-length", "200000", "--strategy", "pld", str(corpus), "--out", str(out)]
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: sample 0: 70000 placements; the boundary plane holds at most 65535\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (PackingError, 1),
+        (ConfigError, 1),
+        (CorpusError, 2),
+        (ManifestError, 2),
+        (EmitError, 2),
+        (DecodeError, 2),
+        (type("LaterError", (CorpusError,), {}), 2),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_each_error_class_exits_with_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    # README: 1 for config errors, 2 for corpus, manifest and stream
+    # errors; a subclass added later inherits its parent's code
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "ingest_corpus", fail)
+    assert error.exit_code == code
+    assert _run(capsys, ["stats", str(_toy_corpus(tmp_path))]) == (code, "", "error: boom\n")
+
+
+def test_every_config_flag_stores_to_a_config_field():
+    # _build_config copies flags onto PackingConfig by field name, so a
+    # flag with any other dest would be dropped silently
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_config_flags(parser)
+    dests = [action.dest for action in parser._actions if action.dest != "config"]
+    assert len(dests) == len(set(dests)) == 8
+    assert set(dests) <= {field.name for field in dataclasses.fields(PackingConfig)}
 
 
 @pytest.mark.parametrize(

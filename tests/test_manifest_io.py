@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqpack import (
+    ConfigError,
     CorpusSummary,
     DecodeError,
     DocumentRecord,
@@ -264,6 +266,19 @@ def test_atomic_write_failure_leaves_no_file(tmp_path):
 
     with pytest.raises(RuntimeError, match="writer failed"):
         write_bytes_atomic(tmp_path / "out.bin", fail_midway)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_os_error_is_a_config_error(tmp_path):
+    # a full disk, without filling one: the writer raises what write() would
+    def disk_full(fh):
+        fh.write(b"partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "out.bin"
+    with pytest.raises(ConfigError) as info:
+        write_bytes_atomic(out, disk_full)
+    assert str(info.value) == f"cannot write {out}: No space left on device"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,8 +6,10 @@ from dataclasses import replace
 import pytest
 
 from seqpack import (
+    CorpusSummary,
     LongDocPolicy,
     PackedSample,
+    PackingManifest,
     Strategy,
     pack_corpus,
     verify_manifest,
@@ -86,11 +88,17 @@ def test_detects_capacity_overflow(toy_docs):
 
 
 def test_detects_more_placements_than_the_boundary_plane_holds():
-    # pack writes this one-sample plan, but the sample format's uint16
-    # boundary count cannot record its placements, so emit would refuse it
+    # the sample format's uint16 boundary count cannot record this
+    # one-sample plan's placements, so emit would refuse it and pack
+    # refuses to write it: build the plan pad_last_document gives by hand
     docs = docs_from_lengths([1] * 70_000)
-    manifest = pack_corpus(docs, make_config(Strategy.PAD_LAST_DOCUMENT, context_length=200_000))
-    assert len(manifest.samples) == 1
+    cfg = make_config(Strategy.PAD_LAST_DOCUMENT, context_length=200_000)
+    sample = PackedSample(
+        tuple((d.doc_id, 0, 1, 2 * i) for i, d in enumerate(docs)),
+        tuple(2 * i + 1 for i in range(len(docs))),
+    )
+    metrics = compute_metrics([sample], docs, cfg.context_length)
+    manifest = PackingManifest(cfg, CorpusSummary(len(docs), len(docs)), (sample,), metrics)
     assert [str(v) for v in verify_manifest(manifest, docs).violations] == [
         "sample 0: 70000 placements; the boundary plane holds at most 65535"
     ]
