@@ -39,7 +39,6 @@ from .model import (
     PackingManifest,
     PackingMetrics,
     Strategy,
-    TokenRef,
     effective_length,
 )
 from .strategies import pack_corpus
@@ -68,7 +67,6 @@ __all__ = [
     "PackingMetrics",
     "Strategy",
     "StrategyComparison",
-    "TokenRef",
     "VerificationReport",
     "Violation",
     "apply_policy",

@@ -209,7 +209,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     corpus_path = Path(args.corpus)
     docs = ingest_corpus(corpus_path, mode="full")
-    stores = [corpus_path.parent / f for f in sorted({d.token_ref.file for d in docs})]
+    stores = [corpus_path.parent / f for f in sorted({d.token_file for d in docs})]
     _refuse_input_as_out(args.out, [corpus_path, args.manifest, *stores])
     # emit checks sample layouts, not the plan against the corpus: verify first
     report = verify_manifest(manifest, docs)

@@ -32,7 +32,6 @@ from .model import (
     EmitError,
     PackingConfig,
     Strategy,
-    TokenRef,
 )
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 
-def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
+def _parse_record(line_no: int, line: str) -> DocumentRecord:
     try:
         if not line.isascii():
             line.encode("utf-8")  # bytes that are not UTF-8 were read as lone surrogates
@@ -66,14 +65,13 @@ def _parse_record(line_no: int, line: str) -> tuple[str, int, TokenRef | None]:
         raise CorpusError(f"line {line_no}: length must be an integer")
     if length < 1:
         raise CorpusError(f"line {line_no}: non-positive length for {doc_id!r}")
-    ref = None
-    if "token_file" in obj or "offset" in obj:
-        token_file = obj.get("token_file")
-        offset = obj.get("offset")
-        if not isinstance(token_file, str) or type(offset) is not int or offset < 0:
-            raise CorpusError(f"line {line_no}: invalid token_file/offset for {doc_id!r}")
-        ref = TokenRef(token_file, offset)
-    return doc_id, length, ref
+    if "token_file" not in obj and "offset" not in obj:
+        return DocumentRecord(doc_id, length)
+    token_file = obj.get("token_file")
+    offset = obj.get("offset")
+    if not isinstance(token_file, str) or type(offset) is not int or offset < 0:
+        raise CorpusError(f"line {line_no}: invalid token_file/offset for {doc_id!r}")
+    return DocumentRecord(doc_id, length, token_file, offset)
 
 
 def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[DocumentRecord]:
@@ -96,29 +94,30 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
             line = line.strip()
             if not line:
                 continue
-            doc_id, length, ref = _parse_record(line_no, line)
+            rec = _parse_record(line_no, line)
+            doc_id, token_file = rec.doc_id, rec.token_file
             if doc_id in seen:
                 raise CorpusError(f"line {line_no}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
             if mode == "full":
-                if ref is None:
+                if token_file is None:
                     raise CorpusError(
                         f"line {line_no}: full mode requires token_file/offset "
                         f"for {doc_id!r}"
                     )
-                size = sizes.get(ref.file)
+                size = sizes.get(token_file)
                 if size is None:
                     try:
-                        st = os.stat(path.parent / ref.file)
+                        st = os.stat(path.parent / token_file)
                     except OSError:
                         raise CorpusError(
                             f"line {line_no}: unresolvable token_ref for "
-                            f"{doc_id!r}: missing store {ref.file!r}"
+                            f"{doc_id!r}: missing store {token_file!r}"
                         ) from None
                     if not stat.S_ISREG(st.st_mode):
                         raise CorpusError(
                             f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
-                            f"store {ref.file!r} is not a regular file"
+                            f"store {token_file!r} is not a regular file"
                         )
                     size = st.st_size
                     if size % _TOKEN_BYTES:
@@ -126,18 +125,18 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
                             f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
                             f"store size {size} is not a multiple of {_TOKEN_BYTES}"
                         )
-                    sizes[ref.file] = size
-                if ref.offset % _TOKEN_BYTES:
+                    sizes[token_file] = size
+                if rec.offset % _TOKEN_BYTES:
                     raise CorpusError(
                         f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
-                        f"offset {ref.offset} not 4-byte aligned"
+                        f"offset {rec.offset} not 4-byte aligned"
                     )
-                if ref.offset + _TOKEN_BYTES * length > size:
+                if rec.offset + _TOKEN_BYTES * rec.length > size:
                     raise CorpusError(
                         f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
                         f"span exceeds store size {size}"
                     )
-            records.append(DocumentRecord(doc_id, length, ref))
+            records.append(rec)
     return records
 
 
@@ -201,7 +200,7 @@ def render_stats(stats: CorpusStats) -> str:
 class FileTokenStore:
     """Token lookup over flat binary stores of little-endian uint32 ids.
 
-    Built from document records carrying token references.  Each store
+    Built from the document records that name a ``token_file``.  Each store
     file is opened on first use and shared across documents; a lookup
     reads its range with one positional read into a new ``array('I')``, so
     memory holds only the ranges asked for.  ``close()``, or leaving a ``with``
@@ -212,10 +211,8 @@ class FileTokenStore:
         self, documents: Iterable[DocumentRecord], base_dir: str | Path = "."
     ) -> None:
         self._base = Path(base_dir)
-        self._refs: dict[str, tuple[TokenRef, int]] = {
-            d.doc_id: (d.token_ref, d.length)
-            for d in documents
-            if d.token_ref is not None
+        self._docs: dict[str, DocumentRecord] = {
+            d.doc_id: d for d in documents if d.token_file is not None
         }
         self._files: dict[str, tuple[int, int]] = {}  # file -> (fd, token count)
         self._closed = False
@@ -253,28 +250,28 @@ class FileTokenStore:
         return entry
 
     def get(self, doc_id: str, start: int, end: int) -> array:
-        entry = self._refs.get(doc_id)
-        if entry is None:
+        doc = self._docs.get(doc_id)
+        if doc is None:
             raise EmitError(f"no token data for document {doc_id!r}")
-        ref, length = entry
-        if not 0 <= start <= end <= length:
+        if not 0 <= start <= end <= doc.length:
             raise EmitError(
                 f"token range [{start}, {end}) outside document {doc_id!r} "
-                f"(length {length})"
+                f"(length {doc.length})"
             )
-        base = ref.offset // _TOKEN_BYTES
-        fd, count = self._store(ref.file)
+        base = doc.offset // _TOKEN_BYTES
+        file = doc.token_file
+        fd, count = self._store(file)
         if base + end > count:
-            raise EmitError(f"token_ref for {doc_id!r} exceeds store {ref.file!r}")
+            raise EmitError(f"token_ref for {doc_id!r} exceeds store {file!r}")
         out = array("I", [0]) * (end - start)
         nbytes = _TOKEN_BYTES * len(out)
         try:
             got = os.preadv(fd, [out], (base + start) * _TOKEN_BYTES)
         except OSError as exc:
-            raise EmitError(f"cannot read token store {ref.file!r}: {exc}") from None
+            raise EmitError(f"cannot read token store {file!r}: {exc}") from None
         if got != nbytes:  # the file shrank after it was opened
             raise EmitError(
-                f"short read of {doc_id!r} from token store {ref.file!r}: "
+                f"short read of {doc_id!r} from token store {file!r}: "
                 f"{got} of {nbytes} bytes"
             )
         if sys.byteorder == "big":  # the store is little-endian

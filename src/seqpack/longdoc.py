@@ -2,8 +2,8 @@
 
 ``apply_policy`` runs the configured policy over a corpus.  Chunks
 derived from an over-length document inherit the parent id with a ``#<k>``
-suffix and carry token locators adjusted to the covered range, so a
-derived corpus still resolves against the original token store.
+suffix and its ``token_file``, with the offset moved to the covered range,
+so a derived corpus still resolves against the original token store.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ from .model import (
     DocumentRecord,
     LongDocPolicy,
     PackingConfig,
-    TokenRef,
 )
 
 __all__ = ["apply_policy"]
 
 
 def _chunk(doc: DocumentRecord, index: int, start: int, end: int) -> DocumentRecord:
-    ref = doc.token_ref
-    if ref is not None:
-        ref = TokenRef(ref.file, ref.offset + _TOKEN_BYTES * start)
-    return DocumentRecord(f"{doc.doc_id}#{index}", end - start, ref)
+    if doc.token_file is None:  # lengths only: no offset to move
+        return DocumentRecord(f"{doc.doc_id}#{index}", end - start)
+    offset = doc.offset + _TOKEN_BYTES * start
+    return DocumentRecord(f"{doc.doc_id}#{index}", end - start, doc.token_file, offset)
 
 
 def _split(doc: DocumentRecord, context_length: int) -> list[DocumentRecord]:

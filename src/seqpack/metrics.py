@@ -118,8 +118,8 @@ def compare_strategies(
 ) -> StrategyComparison:
     """Pack one corpus with several strategies under one config and
     tabulate the metrics; rows keep the requested order.  The
-    long-document policy runs once: every retained record fits a sample,
-    so ``pack_corpus`` keeps them as they are."""
+    long-document policy runs first; every retained record fits a sample,
+    so the policy pass inside each ``pack_corpus`` keeps them as they are."""
     from . import strategies as _strategies  # deferred: strategies imports this module
 
     retained, _ = apply_policy(list(docs), cfg)

@@ -21,7 +21,6 @@ __all__ = [
     "DecodeError",
     "Strategy",
     "LongDocPolicy",
-    "TokenRef",
     "DocumentRecord",
     "PackingConfig",
     "PackedSample",
@@ -83,31 +82,20 @@ class LongDocPolicy(str, Enum):
     DROP = "drop"
 
 
-_TOKEN_BYTES = 4  # size of one stored token id, see TokenRef
-
-
-@dataclass(frozen=True, slots=True)
-class TokenRef:
-    """Locator for a document's token ids inside a flat binary store.
-
-    ``offset`` is a byte offset into ``file``, which holds unsigned
-    32-bit little-endian token ids; the referenced span is as long as
-    the owning document.
-    """
-
-    file: str
-    offset: int
+_TOKEN_BYTES = 4  # size of one stored token id: an unsigned 32-bit little-endian int
 
 
 @dataclass(frozen=True, slots=True)
 class DocumentRecord:
-    """One tokenized document: an opaque id, a token count, and an
-    optional locator for the actual token ids (lengths-only corpora
-    carry ``token_ref=None``)."""
+    """One tokenized document, as its corpus line: an opaque id, a token
+    count, and for full-mode corpora the flat binary store holding its
+    token ids with the byte offset of its first id there (lengths-only
+    corpora carry ``token_file=None``)."""
 
     doc_id: str
     length: int
-    token_ref: TokenRef | None = None
+    token_file: str | None = None
+    offset: int = 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,8 +2,8 @@
 
 ``verify_manifest`` re-checks every invariant a strategy promises —
 sample capacity, exact tiling, per-document coverage discipline, the
-document-head rule, the discarded tail, and metric counters — against
-the corpus the manifest claims to describe, taken as read and put
+document-head rule, separators, the discarded tail, and metric counters —
+against the corpus the manifest claims to describe, taken as read and put
 through the manifest's long-document policy.  It reports violations as
 data instead of raising, so a caller can show all of them at once.
 """
@@ -264,5 +264,23 @@ def verify_manifest(
                 v.append(
                     Violation(None, None, f"metrics mismatch: {field.name} stored {a}, recomputed {b}")
                 )
+
+    # separators, only when all else holds (so every id is known): a last token
+    # before L is followed by one, a cts one at L has it at 0 of the next sample
+    carried = None
+    for i, sample in enumerate(() if v else manifest.samples):
+        want = {} if carried is None else {0: carried}
+        carried = None
+        for doc_id, start, end, offset in sample.placements if cfg.sep_after_every_doc else ():
+            if end == lengths[doc_id] and offset + end - start < L:
+                want[offset + end - start] = doc_id
+            elif end == lengths[doc_id] and strategy is Strategy.CONCAT_THEN_SPLIT:
+                carried = doc_id
+        seps = set(sample.separator_positions)
+        for at, doc_id in want.items():
+            if at not in seps:
+                v.append(Violation(i, doc_id, f"no separator after its last token at {at}"))
+        for at in sorted(seps.difference(want)):
+            v.append(Violation(i, None, f"separator at {at} does not follow a document's last token"))
 
     return VerificationReport(tuple(v), tuple(documents))

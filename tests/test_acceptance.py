@@ -32,7 +32,6 @@ from seqpack import (
     LongDocPolicy,
     PackingConfig,
     Strategy,
-    TokenRef,
     decode_samples,
     emit_samples,
     pack_corpus,
@@ -237,13 +236,13 @@ def test_emit_decode_round_trip_sweep(announce):
         raw: list[DocumentRecord] = []
         for i in range(rng.randint(1, 60)):
             n = rng.randint(1, 3 * L)
-            raw.append(DocumentRecord(f"d{i}", n, TokenRef("mem", 4 * len(flat))))
+            raw.append(DocumentRecord(f"d{i}", n, "mem", 4 * len(flat)))
             flat.extend(rng.randrange(2, 2**32) for _ in range(n))
         retained, _ = apply_policy(raw, cfg)
         corpora += 1
         manifest = pack_corpus(raw, cfg)
         store_map = {
-            d.doc_id: flat[d.token_ref.offset // 4 : d.token_ref.offset // 4 + d.length]
+            d.doc_id: flat[d.offset // 4 : d.offset // 4 + d.length]
             for d in retained
         }
         store = InMemoryTokenStore(store_map)

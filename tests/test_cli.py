@@ -15,17 +15,20 @@ from seqpack import (
     DecodeError,
     EmitError,
     ManifestError,
+    PackedSample,
     PackingConfig,
     PackingError,
+    Strategy,
     cli,
     ingest_corpus,
     longdoc,
     read_manifest,
     verify_manifest,
+    write_manifest,
 )
 from seqpack.cli import main
 
-from util import write_lengths_corpus, write_token_corpus
+from util import separator_mutant, write_lengths_corpus, write_token_corpus
 
 TOY = [3, 4, 2]
 
@@ -134,6 +137,34 @@ def test_pack_rejects_mistyped_config(tmp_path, capsys, config, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (None, ["pack", "--config", "{dir}/absent.json", "--context-length", "5", "--strategy", "cts"],
+         "config file not found: {dir}/absent.json"),
+        ("[]", ["pack", "--config", "{dir}/cfg.json", "--context-length", "5", "--strategy", "cts"],
+         "config file must hold a JSON object"),
+        (None, ["pack", "--context-length", "5"], "--strategy is required"),
+        (None, ["compare", "--context-length", "5", "--strategies", ","],
+         "--strategies must name at least one strategy"),
+    ],
+    ids=["config_missing", "config_not_object", "no_strategy", "no_strategies"],
+)
+def test_config_errors_exit_1_and_write_nothing(tmp_path, capsys, config, argv, message):
+    corpus = _toy_corpus(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    out = tmp_path / "m.json"
+    argv = [a.format(dir=tmp_path) for a in argv] + [str(corpus)]
+    if argv[0] == "pack":
+        argv += ["--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {message.format(dir=tmp_path)}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_pack_requires_context_length(tmp_path, capsys):
     corpus = _toy_corpus(tmp_path)
     code, _, stderr = _run(capsys, ["pack", "--strategy", "cts", str(corpus)])
@@ -200,6 +231,17 @@ def test_verify_ok_and_tampered(tmp_path, capsys):
     code, stdout, _ = _run(capsys, ["verify", str(corpus), "--manifest", str(out)])
     assert code == 1
     assert "metrics mismatch" in stdout
+
+
+def test_verify_rejects_a_missing_separator(tmp_path, capsys):
+    # d0 and d1 with no separator between them would train as one document
+    sample = PackedSample((("d0", 0, 2, 0), ("d1", 0, 2, 2), ("d2", 0, 2, 5)), (4, 7))
+    manifest, _ = separator_mutant(Strategy.BEST_FIT, True, {"d0": 2, "d1": 2, "d2": 2}, 8, (sample,))
+    corpus = write_lengths_corpus(tmp_path, [2, 2, 2])
+    out = tmp_path / "m.json"
+    write_manifest(manifest, out)
+    code, stdout, stderr = _run(capsys, ["verify", str(corpus), "--manifest", str(out)])
+    assert (code, stdout, stderr) == (1, "sample 0 doc d0: no separator after its last token at 2\n", "")
 
 
 def test_verify_corrupt_manifest_is_exit_2(tmp_path, capsys):

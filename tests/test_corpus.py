@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import seqpack
 from seqpack import (
     ConfigError,
     CorpusError,
@@ -15,7 +17,6 @@ from seqpack import (
     EmitError,
     FileTokenStore,
     InMemoryTokenStore,
-    TokenRef,
     corpus_stats,
     ingest_corpus,
 )
@@ -25,12 +26,27 @@ from seqpack.corpus import render_stats
 from util import write_token_corpus
 
 
+def test_document_record_is_its_corpus_line():
+    assert [f.name for f in dataclasses.fields(DocumentRecord)] == [
+        "doc_id", "length", "token_file", "offset",
+    ]
+    assert [name for name in dir(seqpack) if name.startswith("Token")] == []  # no locator class
+
+
+@pytest.mark.parametrize("mode", ["lengths_only", "full"])
+def test_ingest_reads_token_file_and_offset_into_the_record(tmp_path, mode):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id":"a","length":3,"token_file":"t.bin","offset":12}\n')
+    (tmp_path / "t.bin").write_bytes(bytes(24))
+    assert ingest_corpus(path, mode) == [DocumentRecord("a", 3, "t.bin", 12)]
+
+
 def test_ingest_keeps_order_and_fields(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "a", "length": 3}\n{"doc_id": "b", "length": 4}\n')
     records = ingest_corpus(path)
     assert records == [DocumentRecord("a", 3), DocumentRecord("b", 4)]
-    assert all(r.token_ref is None for r in records)
+    assert all(r.token_file is None for r in records)
 
 
 def test_ingest_rejects_zero_length_with_line_number(tmp_path):
@@ -219,7 +235,7 @@ def test_file_store_rejects_store_changed_after_ingest(tmp_path, change, message
 
 def test_file_store_reports_read_error(tmp_path):
     (tmp_path / "sub").mkdir()  # opens for reading, but cannot be read
-    with FileTokenStore([DocumentRecord("a", 2, TokenRef("sub", 0))], base_dir=tmp_path) as store:
+    with FileTokenStore([DocumentRecord("a", 2, "sub", 0)], base_dir=tmp_path) as store:
         with pytest.raises(EmitError, match="^cannot read token store 'sub': "):
             store.get("a", 0, 2)
 

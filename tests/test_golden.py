@@ -39,7 +39,6 @@ from seqpack import (
     LongDocPolicy,
     PackingConfig,
     Strategy,
-    TokenRef,
     emit_samples,
     pack_corpus,
     verify_manifest,
@@ -140,7 +139,7 @@ def test_sample_bytes_match_frozen_digest(tmp_path):
         (tmp_path / f"t{k}.bin").write_bytes(struct.pack(f"<{len(ids)}I", *ids))
         docs, offset = [], 0
         for d in lengths_docs:
-            docs.append(DocumentRecord(d.doc_id, d.length, TokenRef(f"t{k}.bin", 4 * offset)))
+            docs.append(DocumentRecord(d.doc_id, d.length, f"t{k}.bin", 4 * offset))
             offset += d.length
         policy = list(LongDocPolicy)[k % len(LongDocPolicy)]
         separator_id, padding_id = id_pairs[k % len(id_pairs)]
@@ -158,7 +157,7 @@ def test_sample_bytes_match_frozen_digest(tmp_path):
             manifest = pack_corpus(docs, cfg)
             retained, _ = apply_policy(docs, cfg)
             memory = InMemoryTokenStore({
-                r.doc_id: ids[r.token_ref.offset // 4 : r.token_ref.offset // 4 + r.length]
+                r.doc_id: ids[r.offset // 4 : r.offset // 4 + r.length]
                 for r in retained
             })
             streams = []

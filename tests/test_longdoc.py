@@ -10,7 +10,6 @@ from seqpack import (
     LongDocPolicy,
     PackingConfig,
     Strategy,
-    TokenRef,
 )
 from seqpack.longdoc import apply_policy
 
@@ -18,7 +17,7 @@ from util import make_config
 
 
 def _doc(n, doc_id="X", offset=0):
-    return DocumentRecord(doc_id, n, TokenRef("t.bin", offset))
+    return DocumentRecord(doc_id, n, "t.bin", offset)
 
 
 def _split(doc, context_length):
@@ -40,8 +39,8 @@ def test_split_partitions_into_context_sized_chunks():
     chunks = _split(_doc(11), 4)
     assert [(c.doc_id, c.length) for c in chunks] == [("X#0", 4), ("X#1", 4), ("X#2", 3)]
     # byte offsets advance by 4 bytes per token
-    assert [c.token_ref.offset for c in chunks] == [0, 16, 32]
-    assert all(c.token_ref.file == "t.bin" for c in chunks)
+    assert [c.offset for c in chunks] == [0, 16, 32]
+    assert all(c.token_file == "t.bin" for c in chunks)
 
 
 def test_split_leaves_short_docs_alone():
@@ -70,13 +69,13 @@ def test_slide_windows_match_hand_trace():
         ("X#2", 4),
         ("X#3", 4),
     ]
-    assert [c.token_ref.offset for c in chunks] == [100, 112, 124, 128]
+    assert [c.offset for c in chunks] == [100, 112, 124, 128]
 
 
 def test_slide_final_window_pulls_back_flush():
     # length 8, window 4, overlap 2 -> stride 2 -> starts 0, 2, 4
     chunks = _slide(_doc(8), 4, overlap=2)
-    assert [c.token_ref.offset // 4 for c in chunks] == [0, 2, 4]
+    assert [c.offset // 4 for c in chunks] == [0, 2, 4]
     assert all(c.length == 4 for c in chunks)
 
 
@@ -86,8 +85,8 @@ def test_slide_covers_every_token_property():
         limit = rng.randint(2, 32)
         overlap = rng.randint(1, limit - 1)
         n = rng.randint(limit + 1, limit * 20)
-        chunks = _slide(DocumentRecord("d", n, TokenRef("f", 0)), limit, overlap)
-        starts = [c.token_ref.offset // 4 for c in chunks]
+        chunks = _slide(DocumentRecord("d", n, "f", 0), limit, overlap)
+        starts = [c.offset // 4 for c in chunks]
         assert all(c.length == limit for c in chunks)
         assert starts[0] == 0
         assert starts == sorted(set(starts))  # strictly increasing
@@ -136,7 +135,7 @@ def test_apply_policy_rejects_derived_id_collision():
 
 def test_apply_policy_idempotent_on_its_own_output():
     cfg = make_config(Strategy.BEST_FIT, context_length=4)
-    docs = [DocumentRecord("a", 11, TokenRef("t", 0)), DocumentRecord("b", 2)]
+    docs = [DocumentRecord("a", 11, "t", 0), DocumentRecord("b", 2)]
     retained, _ = apply_policy(docs, cfg)
     again, dropped = apply_policy(retained, cfg)
     assert again == retained

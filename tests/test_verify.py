@@ -17,7 +17,14 @@ from seqpack import (
 from seqpack.longdoc import apply_policy
 from seqpack.metrics import compute_metrics
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, replace_row
+from util import (
+    ALL_STRATEGIES,
+    docs_from_lengths,
+    make_config,
+    random_lengths,
+    replace_row,
+    separator_mutant,
+)
 
 
 def _messages(report):
@@ -46,6 +53,38 @@ def test_engine_output_verifies_clean_across_strategies_and_policies():
                 manifest = pack_corpus(docs, cfg)
                 report = verify_manifest(manifest, docs)
                 assert report.ok, f"{strategy} {policy} drop={drop_tail}: {_messages(report)}"
+
+
+@pytest.mark.parametrize(
+    "strategy, sep, lengths, L, samples, expected",
+    [
+        # C is replaced by a separator and never trained on
+        (Strategy.CONCAT_THEN_SPLIT, True, {"A": 3, "B": 4, "C": 2}, 5,
+         (PackedSample((("A", 0, 3, 0), ("B", 0, 1, 4)), (3,)),
+          PackedSample((("B", 1, 4, 0),), (3, 4))),
+         ["sample 1: separator at 4 does not follow a document's last token"]),
+        # A ends flush with the sample: its separator must open the next one
+        (Strategy.CONCAT_THEN_SPLIT, True, {"A": 5, "B": 3, "C": 1}, 5,
+         (PackedSample((("A", 0, 5, 0),)), PackedSample((("B", 0, 3, 0), ("C", 0, 1, 4)), (3,))),
+         ["sample 1 doc A: no separator after its last token at 0"]),
+        # A and B trained as one document
+        *[(s, True, {"A": 2, "B": 2, "C": 2}, 8,
+           (PackedSample((("A", 0, 2, 0), ("B", 0, 2, 2), ("C", 0, 2, 5)), (4, 7)),),
+           ["sample 0 doc A: no separator after its last token at 2"])
+          for s in (Strategy.BEST_FIT, Strategy.PAD_LAST_DOCUMENT)],
+        # the config says there are no separators
+        *[(s, False, {"A": 2, "B": 2}, 8, (PackedSample(pls, seps),),
+           [f"sample 0: separator at {seps[0]} does not follow a document's last token"])
+          for s in (Strategy.BEST_FIT, Strategy.PAD_LAST_DOCUMENT)
+          for pls, seps in [((("A", 0, 2, 0), ("B", 0, 2, 2)), (4,)),
+                            ((("A", 0, 2, 0), ("B", 0, 2, 3)), (2,))]],
+    ],
+    ids=["cts_lost_doc", "cts_flush_end", "bf_merged", "pld_merged",
+         "bf_sep_off_added", "bf_sep_off_moved", "pld_sep_off_added", "pld_sep_off_moved"],
+)
+def test_separators_stand_only_after_last_tokens(strategy, sep, lengths, L, samples, expected):
+    manifest, docs = separator_mutant(strategy, sep, lengths, L, samples)
+    assert [str(v) for v in verify_manifest(manifest, docs).violations] == expected
 
 
 @pytest.mark.parametrize(

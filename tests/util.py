@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from seqpack import DocumentRecord, PackingConfig, Strategy
+from seqpack import DocumentRecord, PackingConfig, Strategy, compute_metrics, pack_corpus
 
 
 def docs_from_lengths(lengths, prefix="d") -> list[DocumentRecord]:
@@ -24,6 +25,16 @@ def replace_row(row, **changes) -> tuple:
     fields = dict(zip(("doc_id", "start", "end", "offset"), row), **changes)
     assert len(fields) == 4, f"unknown placement field in {sorted(changes)}"
     return tuple(fields.values())
+
+
+def separator_mutant(strategy, sep, lengths, context_length, samples):
+    """The corpus ``lengths`` (doc_id -> length) and the manifest ``pack_corpus``
+    gives it, with ``samples`` in place of its own and the metrics recomputed."""
+    docs = [DocumentRecord(doc_id, n) for doc_id, n in lengths.items()]
+    cfg = make_config(strategy, context_length, sep_after_every_doc=sep)
+    manifest = pack_corpus(docs, cfg)
+    metrics = compute_metrics(samples, docs, context_length)
+    return replace(manifest, samples=samples, metrics=metrics), docs
 
 
 def random_lengths(rng: random.Random, count: int, max_len: int) -> list[int]:
