@@ -38,6 +38,7 @@ from .model import (
     PackingError,
     PackingManifest,
     PackingMetrics,
+    PlanTable,
     Strategy,
     effective_length,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "PackingError",
     "PackingManifest",
     "PackingMetrics",
+    "PlanTable",
     "Strategy",
     "StrategyComparison",
     "VerificationReport",

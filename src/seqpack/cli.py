@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -230,7 +231,8 @@ def _cmd_emit(args: argparse.Namespace) -> int:
         if args.decode_check:
             with open(args.out, "rb") as fh:
                 decode_samples(fh, manifest, store, summary.checksum, mask_separators=args.mask_separators)
-            placed = {doc_id for sample in manifest.samples for doc_id, _, _, _ in sample.placements}
+            plan = manifest.samples
+            placed = {plan.ids[k] for k in set(plan.doc)}
             print(f"decode-check: ok ({len(placed)} documents)")
     return EXIT_OK
 
@@ -242,13 +244,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a command's data makes no reference cycles, so the cyclic collector
+    # would only walk every record and plan object again and again; it is
+    # off for the command and back in the caller's state after
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except PackingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except PackingError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

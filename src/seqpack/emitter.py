@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import IO, Protocol
 
-from .model import DecodeError, EmitError, PackedSample, PackingConfig, PackingManifest
+from .model import DecodeError, EmitError, PackingConfig, PackingManifest
 from .verify import _sample_layout
 
 __all__ = [
@@ -84,24 +84,33 @@ def emit_samples(
         sink.write(data)
         digest.update(data)
 
-    out(_HEADER.pack(MAGIC, VERSION, _PLANE_FLAGS, L, len(manifest.samples)))
-    for i, sample in enumerate(manifest.samples):
-        out(_render(i, sample, token_store, cfg, mask_separators))
-    return EmitSummary(len(manifest.samples), len(manifest.samples) * L, digest.hexdigest())
+    plan = manifest.samples
+    out(_HEADER.pack(MAGIC, VERSION, _PLANE_FLAGS, L, len(plan)))
+    for i, (rows, separators) in enumerate(plan.iter_samples()):
+        out(_render(i, rows, separators, plan.ids, token_store, cfg, mask_separators))
+    return EmitSummary(len(plan), len(plan) * L, digest.hexdigest())
 
 
 def _render(
-    i: int, sample: PackedSample, token_store: TokenSource, cfg: PackingConfig, mask_separators: bool
+    i: int,
+    rows: list,
+    separators: list[int],
+    ids: list[str],
+    token_store: TokenSource,
+    cfg: PackingConfig,
+    mask_separators: bool,
 ) -> bytes:
-    """Sample ``i``'s token, mask and boundary planes; ``EmitError`` names
-    the sample if its layout breaks the rule or a store lookup fails."""
+    """Sample ``i``'s token, mask and boundary planes, from its rows and
+    separators as ``PlanTable.iter_samples`` gives them; ``EmitError``
+    names the sample if its layout breaks the rule or a store lookup fails."""
     L = cfg.context_length
-    occupied, problems = _sample_layout(i, sample, L)
+    occupied, problems = _sample_layout(i, rows, separators, ids, L)
     if problems:
         raise EmitError(str(problems[0]))
     tokens = array("I", [cfg.padding_id]) * L
     mask = bytearray(b"\x01") * occupied + bytes(L - occupied)
-    for doc_id, start, end, offset in sample.placements:
+    for k, start, end, offset in rows:
+        doc_id = ids[k]
         n = end - start
         try:
             piece = token_store.get(doc_id, start, end)
@@ -115,24 +124,24 @@ def _render(
                 f"{doc_id!r} range [{start}, {end}), not array('I') of {n} ids"
             )
         tokens[offset : offset + n] = piece
-    for off in sample.separator_positions:
+    for off in separators:
         tokens[off] = cfg.separator_id
         if mask_separators:
             mask[off] = 0
-    boundaries = array("I", [offset for _, _, _, offset in sample.placements])
+    boundaries = array("I", [offset for _, _, _, offset in rows])
     if sys.byteorder == "big":  # the format is little-endian
         tokens.byteswap()
         boundaries.byteswap()
     return b"".join((tokens, mask, _COUNT.pack(len(boundaries)), boundaries))
 
 
-def _difference(i: int, sample: PackedSample, got: bytes, want: bytes, L: int) -> str:
+def _difference(i: int, rows: list, ids: list[str], got: bytes, want: bytes, L: int) -> str:
     """Name the first plane in which a sample read differs from its rendering."""
     if got[: 4 * L] != want[: 4 * L]:
         off = next(k for k in range(L) if got[4 * k : 4 * k + 4] != want[4 * k : 4 * k + 4])
-        for doc_id, start, end, offset in sample.placements:
+        for k, start, end, offset in rows:
             if offset <= off < offset + (end - start):
-                return f"sample {i} doc {doc_id}: tokens differ from the store"
+                return f"sample {i} doc {ids[k]}: tokens differ from the store"
         return f"sample {i}: token plane differs from the manifest at offset {off}"
     if got[4 * L : 5 * L] != want[4 * L : 5 * L]:
         return f"sample {i}: mask plane differs from the manifest"
@@ -174,22 +183,23 @@ def decode_samples(
     if flags != _PLANE_FLAGS:
         raise DecodeError(f"unsupported plane flags {flags} (expected {_PLANE_FLAGS})")
     cfg = manifest.config
-    if L != cfg.context_length or sample_count != len(manifest.samples):
+    plan = manifest.samples
+    if L != cfg.context_length or sample_count != len(plan):
         raise DecodeError(
             f"manifest/stream mismatch: stream has {sample_count} samples of "
-            f"length {L}, manifest has {len(manifest.samples)} of "
+            f"length {L}, manifest has {len(plan)} of "
             f"length {cfg.context_length}"
         )
 
     zero_mask = 0
-    for i, sample in enumerate(manifest.samples):
+    for i, (rows, separators) in enumerate(plan.iter_samples()):
         try:
-            want = _render(i, sample, token_store, cfg, mask_separators)
+            want = _render(i, rows, separators, plan.ids, token_store, cfg, mask_separators)
         except EmitError as exc:
             raise DecodeError(str(exc)) from None
         got = read(len(want), f"sample {i}")
         if got != want:
-            raise DecodeError(_difference(i, sample, got, want, L))
+            raise DecodeError(_difference(i, rows, plan.ids, got, want, L))
         zero_mask += want.count(0, 4 * L, 5 * L)
 
     if stream.read(1):

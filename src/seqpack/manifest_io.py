@@ -11,6 +11,7 @@ import json
 import os
 import stat
 from dataclasses import asdict
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import BinaryIO, Callable, TypeVar, get_type_hints
@@ -19,10 +20,11 @@ from .model import (
     ConfigError,
     CorpusSummary,
     ManifestError,
-    PackedSample,
     PackingConfig,
     PackingManifest,
     PackingMetrics,
+    PlanTable,
+    _counts,
 )
 
 __all__ = [
@@ -39,8 +41,8 @@ MANIFEST_FORMAT = "seqpack-manifest/1"
 _T = TypeVar("_T")
 
 
-def _padding(sample: PackedSample, L: int) -> list[int] | None:
-    occupied = sample.occupied_tokens
+def _padding(plan: PlanTable, i: int, L: int) -> list[int] | None:
+    occupied = plan.occupied_tokens(i, i + 1)
     return [occupied, L] if occupied < L else None
 
 
@@ -63,26 +65,29 @@ def _json_pieces(manifest: PackingManifest):
         "metrics": asdict(manifest.metrics),
     }
     yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"samples":['
+    plan = manifest.samples
+    # one pass over the columns: each sample takes the next rows and separators
+    rows = zip(map(_encode_str, map(plan.ids.__getitem__, plan.doc)), plan.start, plan.end, plan.offset)
+    separators = iter(plan.separators)
     comma = ""
-    for index, sample in enumerate(manifest.samples):
+    for index, (n, m) in enumerate(zip(_counts(plan.first), _counts(plan.sep_first))):
         try:
             placements = ",".join([
-                f"[{_encode_str(doc_id)},{start},{end},{offset}]"
-                for doc_id, start, end, offset in sample.placements
+                f"[{doc_id},{start},{end},{offset}]" for doc_id, start, end, offset in islice(rows, n)
             ])
         except TypeError:  # the reader accepts only str doc ids
-            for doc_id, *_ in sample.placements:
+            for doc_id, *_ in plan[index].placements:
                 if not isinstance(doc_id, str):
                     raise ManifestError(
                         f"cannot write manifest: sample {index}: doc_id {doc_id!r} is not a str"
                     ) from None
             raise
-        padding = _padding(sample, L)
+        padding = _padding(plan, index, L)
         padding = "null" if padding is None else f"[{padding[0]},{L}]"
-        separators = ",".join(map(str, sample.separator_positions))
+        seps = ",".join(map(str, islice(separators, m)))
         yield (
             f'{comma}{{"index":{index},"padding":{padding},'
-            f'"placements":[{placements}],"separators":[{separators}]}}'
+            f'"placements":[{placements}],"separators":[{seps}]}}'
         )
         comma = ","
     yield "]}\n"
@@ -109,27 +114,43 @@ def _number(block: dict, key: str, kind: type, where: str) -> int | float:
 _METRIC_TYPES = get_type_hints(PackingMetrics)
 
 
-def _sample_from_json(index: int, s: dict, L: int) -> PackedSample:
-    """One sample row, with its shape and its derived fields checked:
-    ``index`` is the row's position, ``padding`` the unoccupied suffix."""
-    where = f"malformed manifest: sample {index}:"
-    if type(s["index"]) is not int or s["index"] != index:
-        raise ManifestError(f"{where} index {json.dumps(s['index'])} is not its position")
-    placements = []
-    for doc_id, start, end, offset in s["placements"]:
-        if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
-            row = json.dumps([doc_id, start, end, offset])
-            raise ManifestError(f"{where} placement {row} is not [str, int, int, int]")
-        placements.append((doc_id, start, end, offset))
-    separators = s["separators"]
-    if type(separators) is not list or not _ints(separators):
-        raise ManifestError(f"{where} separators must be a list of ints")
-    sample = PackedSample(tuple(placements), tuple(separators))
-    padding = _padding(sample, L)
-    if s["padding"] != padding or (padding and not _ints(s["padding"])):
-        shown = json.dumps(s["padding"])
-        raise ManifestError(f"{where} padding {shown} is not {json.dumps(padding)}")
-    return sample
+def _read_samples(rows: list, L: int) -> PlanTable:
+    """The plan in a manifest's ``samples`` rows, each row checked for its
+    shape and its derived fields (``index`` is the row's position,
+    ``padding`` the unoccupied suffix) and set to ``None`` once it is in
+    the table, so the rows and the table are never both whole."""
+    plan = PlanTable()
+    index_of: dict[str, int] = {}  # doc id -> its index in plan.ids
+    add_doc, add_start, add_end, add_offset = (
+        plan.doc.append, plan.start.append, plan.end.append, plan.offset.append
+    )
+    for index, s in enumerate(rows):
+        where = f"malformed manifest: sample {index}:"
+        if type(s["index"]) is not int or s["index"] != index:
+            raise ManifestError(f"{where} index {json.dumps(s['index'])} is not its position")
+        try:
+            for doc_id, start, end, offset in s["placements"]:
+                if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
+                    row = json.dumps([doc_id, start, end, offset])
+                    raise ManifestError(f"{where} placement {row} is not [str, int, int, int]")
+                add_doc(index_of.setdefault(doc_id, len(index_of)))
+                add_start(start)
+                add_end(end)
+                add_offset(offset)
+            separators = s["separators"]
+            if type(separators) is not list or not _ints(separators):
+                raise ManifestError(f"{where} separators must be a list of ints")
+            plan.separators.extend(separators)
+        except OverflowError:  # the columns hold signed 64-bit ints
+            raise ManifestError(f"{where} a value does not fit a signed 64-bit int") from None
+        plan.end_sample()
+        padding = _padding(plan, index, L)
+        if s["padding"] != padding or (padding and not _ints(s["padding"])):
+            shown = json.dumps(s["padding"])
+            raise ManifestError(f"{where} padding {shown} is not {json.dumps(padding)}")
+        rows[index] = None
+    plan.ids.extend(index_of)
+    return plan
 
 
 def manifest_from_json(text: str) -> PackingManifest:
@@ -151,16 +172,13 @@ def manifest_from_json(text: str) -> PackingManifest:
             _number(docs, "total_tokens", int, "documents."),
             tuple(dropped),
         )
-        L = cfg.context_length
-        samples = tuple(
-            _sample_from_json(i, s, L) for i, s in enumerate(payload["samples"])
-        )
+        plan = _read_samples(payload["samples"], cfg.context_length)
         m = payload["metrics"]
         metrics = PackingMetrics(
             **{name: _number(m, name, kind, "metrics.") for name, kind in _METRIC_TYPES.items()}
         )
         discarded = _number(payload, "discarded_tail_tokens", int, "")
-        return PackingManifest(cfg, summary, samples, metrics, discarded)
+        return PackingManifest(cfg, summary, plan, metrics, discarded)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from None
 

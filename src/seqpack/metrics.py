@@ -8,16 +8,18 @@ are derived from exact integer counters kept on the manifest.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .longdoc import apply_policy
 from .model import (
     ConfigError,
     DocumentRecord,
-    PackedSample,
     PackingConfig,
     PackingMetrics,
+    PlanTable,
     Strategy,
 )
 
@@ -30,32 +32,36 @@ __all__ = [
 
 
 def compute_metrics(
-    samples: Sequence[PackedSample],
+    samples: PlanTable,
     documents: Sequence[DocumentRecord],
     context_length: int,
 ) -> PackingMetrics:
-    """Derive the metric counters for a set of packed samples.
+    """Derive the metric counters for a packing plan.
 
-    A document counts as fragmented (at most once) when any of its
-    placements covers fewer tokens than the document has; every token
-    a sample does not occupy is padding.
+    A document (one entry of ``samples.ids``) counts as fragmented (at
+    most once) when any of its placements covers fewer tokens than the
+    document has; every token a sample does not occupy is padding.  A
+    placement of a document missing from ``documents`` raises ``KeyError``.
     """
     lengths = {d.doc_id: d.length for d in documents}
-    fragmented: set[str] = set()
-    occupied = 0
-    for sample in samples:
-        for doc_id, start, end, _ in sample.placements:
-            n = end - start
-            if n != lengths[doc_id]:
-                fragmented.add(doc_id)
-            occupied += n
-        occupied += len(sample.separator_positions)
+    length_of = [lengths.get(doc_id) for doc_id in samples.ids]  # by document index
+    # flag the document of every placement shorter than its document; an
+    # unknown document (length None) never matches, so it is flagged too
+    placed = map(operator.sub, samples.end, samples.start)
+    short = map(operator.ne, placed, map(length_of.__getitem__, samples.doc))
+    fragmented = bytearray(len(length_of))
+    for k in compress(samples.doc, short):
+        fragmented[k] = 1
+    for n in compress(length_of, fragmented):
+        if n is None:
+            raise KeyError("placements reference a document missing from documents")
+    fragmented_count = fragmented.count(1)
     sample_count = len(samples)
     total = sample_count * context_length
-    padding = total - occupied
-    frag_rate = len(fragmented) / len(documents) if documents else 0.0
+    padding = total - samples.occupied_tokens()
+    frag_rate = fragmented_count / len(documents) if documents else 0.0
     pad_rate = padding / total if total else 0.0
-    return PackingMetrics(sample_count, total, len(fragmented), padding, frag_rate, pad_rate)
+    return PackingMetrics(sample_count, total, fragmented_count, padding, frag_rate, pad_rate)
 
 
 def scaled_token_budget(base_tokens: int, padding_rate: float) -> int:

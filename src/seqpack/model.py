@@ -9,8 +9,11 @@ re-checked without touching token content.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 __all__ = [
     "PackingError",
@@ -24,6 +27,7 @@ __all__ = [
     "DocumentRecord",
     "PackingConfig",
     "PackedSample",
+    "PlanTable",
     "CorpusSummary",
     "PackingMetrics",
     "PackingManifest",
@@ -184,17 +188,108 @@ class PackedSample:
     ``(doc_id, start, end, offset)`` rows in manifest order, and its
     separator token positions.  A sample's index is its position in the
     manifest, and its padding is the suffix
-    ``[occupied_tokens, context_length)``."""
+    ``[occupied_tokens, context_length)``.  A ``PlanTable`` builds one on
+    demand as a view of its rows."""
 
     placements: tuple[_Placement, ...]
     separator_positions: tuple[int, ...] = ()
 
     @property
     def occupied_tokens(self) -> int:
-        occupied = len(self.separator_positions)
-        for _, start, end, _ in self.placements:  # a loop: manifest IO calls this per sample
-            occupied += end - start
-        return occupied
+        return len(self.separator_positions) + sum(end - start for _, start, end, _ in self.placements)
+
+
+def _counts(prefix: array):
+    """The sizes of the ranges a prefix column bounds."""
+    return map(operator.sub, prefix[1:], prefix)
+
+
+class PlanTable:
+    """A packing plan as one placement table of ``array('q')`` columns.
+
+    Row ``r`` places document ``ids[doc[r]]``'s tokens ``[start[r],
+    end[r])`` at ``offset[r]`` of its sample.  Sample ``i`` owns rows
+    ``[first[i], first[i + 1])``, in manifest order, and the separator
+    positions ``separators[sep_first[i]:sep_first[i + 1]]``.  Each doc id
+    string is held once, in ``ids``.  As a sequence of samples, ``len``,
+    indexing and iteration give ``PackedSample`` views built on demand.
+
+    A builder appends a sample's rows and separators to the columns,
+    then calls ``end_sample`` (or ``drop_open_sample`` to discard them).
+    """
+
+    __slots__ = ("ids", "doc", "start", "end", "offset", "first", "separators", "sep_first")
+
+    def __init__(self, ids: list[str] | None = None) -> None:
+        self.ids = [] if ids is None else ids
+        self.doc, self.start, self.end, self.offset = (array("q") for _ in range(4))
+        self.separators = array("q")
+        self.first = array("q", [0])
+        self.sep_first = array("q", [0])
+
+    def end_sample(self) -> None:
+        """Close the open sample: the rows and separators appended since
+        the last call are its own."""
+        self.first.append(len(self.doc))
+        self.sep_first.append(len(self.separators))
+
+    def drop_open_sample(self) -> None:
+        """Remove the rows and separators appended since the last
+        ``end_sample``."""
+        for column in (self.doc, self.start, self.end, self.offset):
+            del column[self.first[-1]:]
+        del self.separators[self.sep_first[-1]:]
+
+    def iter_samples(self):
+        """Each sample in order, as its rows, a list of ``(document index,
+        start, end, offset)`` tuples, and its list of separator positions."""
+        rows = zip(self.doc, self.start, self.end, self.offset)
+        separators = iter(self.separators)
+        for n, m in zip(_counts(self.first), _counts(self.sep_first)):
+            yield list(islice(rows, n)), list(islice(separators, m))
+
+    def occupied_tokens(self, lo: int = 0, hi: int | None = None) -> int:
+        """The tokens samples ``[lo, hi)`` (all by default) hold: their
+        placed tokens plus their separators."""
+        hi = len(self) if hi is None else hi
+        a, b = self.first[lo], self.first[hi]
+        return sum(self.end[a:b]) - sum(self.start[a:b]) + self.sep_first[hi] - self.sep_first[lo]
+
+    def __len__(self) -> int:
+        return len(self.first) - 1
+
+    def __getitem__(self, i: int | slice) -> PackedSample | tuple[PackedSample, ...]:
+        n = len(self)
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(n))))
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("sample index out of range")
+        a, b = self.first[i], self.first[i + 1]
+        rows = zip(map(self.ids.__getitem__, self.doc[a:b]), self.start[a:b], self.end[a:b], self.offset[a:b])
+        return PackedSample(tuple(rows), tuple(self.separators[self.sep_first[i]:self.sep_first[i + 1]]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        # equal to a plan or a tuple holding the same samples
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        if not isinstance(other, PlanTable):
+            return NotImplemented
+        return (
+            (self.start, self.end, self.offset, self.first, self.separators, self.sep_first)
+            == (other.start, other.end, other.offset, other.first, other.separators, other.sep_first)
+            and list(map(self.ids.__getitem__, self.doc)) == list(map(other.ids.__getitem__, other.doc))
+        )
+
+    __hash__ = None  # mutable while a builder appends
+
+    def __repr__(self) -> str:
+        return f"PlanTable({len(self)} samples, {len(self.doc)} placements)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,7 +323,8 @@ class PackingMetrics:
 @dataclass(frozen=True, slots=True)
 class PackingManifest:
     """The complete, verifiable packing plan: config, corpus summary,
-    every sample with its placements, and the resulting metrics.
+    every sample with its placements (one ``PlanTable``), and the
+    resulting metrics.
 
     ``discarded_tail_tokens`` counts tokens cut off when an incomplete
     final sample is dropped (always zero for strategies that pad).
@@ -236,6 +332,6 @@ class PackingManifest:
 
     config: PackingConfig
     documents: CorpusSummary
-    samples: tuple[PackedSample, ...]
+    samples: PlanTable
     metrics: PackingMetrics
     discarded_tail_tokens: int = 0

@@ -15,28 +15,31 @@ best_fit places whole documents by bin packing (``_best_fit``).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
+from itertools import accumulate, pairwise
 
 from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
-    _Placement,
     ConfigError,
     CorpusSummary,
     DocumentRecord,
-    PackedSample,
     PackingConfig,
     PackingManifest,
+    PlanTable,
     Strategy,
+    _counts,
     effective_length,
 )
 from .verify import _MAX_PLACEMENTS
 
 __all__ = ["pack_corpus"]
 
-# what a planner returns: the samples and the discarded tail token count
-_Plan = tuple[list[PackedSample], int]
+# what a planner returns: the plan, whose document column indexes the
+# planner's input, and the discarded tail token count
+_Plan = tuple[PlanTable, int]
 
 
 def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
@@ -65,17 +68,25 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     pad = cfg.strategy is Strategy.PAD_LAST_DOCUMENT
     sep_cost = cfg.separator_cost
 
-    samples: list[PackedSample] = []
-    cur_pl: list[_Placement] = []
-    cur_sep: list[int] = []
+    plan = PlanTable([d.doc_id for d in docs])
+    add_doc, add_start, add_end, add_offset = (
+        plan.doc.append, plan.start.append, plan.end.append, plan.offset.append
+    )
+    add_separator = plan.separators.append
     pos = 0
 
-    def close() -> None:
-        nonlocal cur_pl, cur_sep, pos
-        samples.append(PackedSample(tuple(cur_pl), tuple(cur_sep)))
-        cur_pl, cur_sep, pos = [], [], 0
+    def place(k: int, start: int, end: int) -> None:
+        add_doc(k)
+        add_start(start)
+        add_end(end)
+        add_offset(pos)
 
-    for doc in docs:
+    def close() -> None:
+        nonlocal pos
+        plan.end_sample()
+        pos = 0
+
+    for k, doc in enumerate(docs):
         n = doc.length
         eff = n + sep_cost if cts else effective_length(n, cfg)
         rem = L - pos
@@ -87,18 +98,18 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
                 # the prefix that fits stays: a fragment, or under restart the
                 # whole document flush; a cts document that overflows by its
                 # separator alone is placed whole below
-                cur_pl.append((doc.doc_id, 0, rem, pos))
+                place(k, 0, rem)
                 close()
                 if cts:
                     start = rem
                 elif rem == n:
                     continue
-        cur_pl.append((doc.doc_id, start, n, pos))
+        place(k, start, n)
         pos += n - start
         if eff > n:
             if pos == L:  # only a cts separator lands past a flush document
                 close()
-            cur_sep.append(pos)
+            add_separator(pos)
             pos += 1
         if pos == L:
             close()
@@ -107,9 +118,10 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     if pos > 0:
         if cfg.drop_final_partial and not pad:
             discarded = pos
+            plan.drop_open_sample()
         else:
             close()
-    return samples, discarded
+    return plan, discarded
 
 
 def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
@@ -122,10 +134,15 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     No document ever fragments; sample residuals become padding.
     """
     L = cfg.context_length
+    ids = [d.doc_id for d in docs]
+    lengths = [d.length for d in docs]
+    effs = [effective_length(n, cfg) for n in lengths]
 
-    items = docs
+    order = range(len(docs))
     if not cfg.online:
-        items = sorted(docs, key=lambda d: (-effective_length(d.length, cfg), d.doc_id))
+        # (-eff, doc_id) order by two stable sorts: by id, then by length
+        order = sorted(order, key=ids.__getitem__)
+        order.sort(key=effs.__getitem__, reverse=True)
 
     # live: the residuals that have an open sample, sorted, so the
     # smallest one that fits is a bisect away; open_at[r]: a min-heap of
@@ -135,11 +152,11 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     live: list[int] = []
     open_at: dict[int, list[int]] = {}
     fills: list[int] = []
-    placements: list[list[_Placement]] = []
-    separators: list[list[int]] = []
-    for doc in items:
-        n = doc.length
-        eff = effective_length(n, cfg)
+    # per document in processing order: its sample and its offset there
+    sample_of = array("q")
+    offset_of = array("q")
+    for k in order:
+        eff = effs[k]
         j = bisect_left(live, eff)
         if j < len(live):
             heap = open_at[live[j]]
@@ -150,12 +167,9 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
         else:
             sample_id = len(fills)
             fills.append(0)
-            placements.append([])
-            separators.append([])
         pos = fills[sample_id]
-        placements[sample_id].append((doc.doc_id, 0, n, pos))
-        if eff > n:
-            separators[sample_id].append(pos + n)
+        sample_of.append(sample_id)
+        offset_of.append(pos)
         fill = pos + eff
         fills[sample_id] = fill
         if fill < L:
@@ -167,10 +181,28 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
             else:
                 heappush(heap, sample_id)
 
-    samples = [
-        PackedSample(tuple(pls), tuple(seps)) for pls, seps in zip(placements, separators)
-    ]
-    return samples, 0
+    # group the rows by sample with one stable counting sort, so each
+    # sample keeps its rows in placement order
+    counts = [0] * len(fills)
+    for sample_id in sample_of:
+        counts[sample_id] += 1
+    plan = PlanTable(ids)
+    plan.first.extend(accumulate(counts))
+    zeros = bytes(8 * len(sample_of))
+    plan.doc, plan.start, plan.offset = array("q", zeros), array("q", zeros), array("q", zeros)
+    next_row = plan.first[:-1]
+    for k, sample_id, pos in zip(order, sample_of, offset_of):
+        r = next_row[sample_id]
+        next_row[sample_id] = r + 1
+        plan.doc[r] = k
+        plan.offset[r] = pos
+    plan.end = array("q", map(lengths.__getitem__, plan.doc))
+    for a, b in pairwise(plan.first):
+        for k, pos in zip(plan.doc[a:b], plan.offset[a:b]):
+            if effs[k] > lengths[k]:
+                plan.separators.append(pos + lengths[k])
+        plan.sep_first.append(len(plan.separators))
+    return plan, 0
 
 
 def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
@@ -187,12 +219,11 @@ def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManife
     """
     retained, dropped = apply_policy(docs, cfg)
     planner = _best_fit if cfg.strategy is Strategy.BEST_FIT else _fill_sequential
-    samples, discarded = planner(retained, cfg)
-    for i, sample in enumerate(samples):
-        count = len(sample.placements)
+    plan, discarded = planner(retained, cfg)
+    for i, count in enumerate(_counts(plan.first)):
         if count > _MAX_PLACEMENTS:
             raise ConfigError(f"sample {i}: {count} placements; "
                               f"the boundary plane holds at most {_MAX_PLACEMENTS}")
     summary = CorpusSummary(len(retained), sum(d.length for d in retained), dropped)
-    metrics = compute_metrics(samples, retained, cfg.context_length)
-    return PackingManifest(cfg, summary, tuple(samples), metrics, discarded)
+    metrics = compute_metrics(plan, retained, cfg.context_length)
+    return PackingManifest(cfg, summary, plan, metrics, discarded)

@@ -17,7 +17,6 @@ from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
     DocumentRecord,
-    PackedSample,
     PackingManifest,
     PackingMetrics,
     Strategy,
@@ -61,46 +60,51 @@ class VerificationReport:
         return not self.violations
 
 
-def _sample_layout(i: int, sample: PackedSample, L: int) -> tuple[int, list[Violation]]:
-    """Sample ``i``'s occupancy and layout problems, judged by ``L`` alone:
-    placements in offset order, each a non-empty range inside ``[0, L)``,
-    separators inside ``[0, L)``, all tiling ``[0, occupied)`` exactly, and
-    no more placements than the sample format's boundary plane holds."""
+def _sample_layout(
+    i: int, rows: list, separators: list[int], ids: list[str], L: int
+) -> tuple[int, list[Violation]]:
+    """Sample ``i``'s covered prefix and layout problems, judged by ``L``
+    alone: placements in offset order, each a non-empty range inside
+    ``[0, L)``, separators inside ``[0, L)``, all tiling ``[0, covered)``
+    exactly, and no more placements than the sample format's boundary
+    plane holds.  On a sound layout ``covered`` is the sample's occupancy.
+    ``rows`` and ``separators`` are the sample's as
+    ``PlanTable.iter_samples`` gives them; ``ids`` names the documents."""
     problems: list[tuple[str | None, str]] = []
-    count = len(sample.placements)
+    count = len(rows)
     if count > _MAX_PLACEMENTS:
         problems.append((None, f"{count} placements; the boundary plane holds at most {_MAX_PLACEMENTS}"))
     # (offset, is separator, end) of every in-range piece of the sample
     pieces: list[tuple[int, bool, int]] = []
     last_offset = -1
-    for doc_id, start, end, offset in sample.placements:
+    for k, start, end, offset in rows:
         if offset <= last_offset:
-            problems.append((doc_id, "placements out of order"))
+            problems.append((ids[k], "placements out of order"))
         last_offset = offset
         n = end - start
         if start < 0 or n <= 0:
-            problems.append((doc_id, f"bad placement range [{start}, {end})"))
+            problems.append((ids[k], f"bad placement range [{start}, {end})"))
         elif offset < 0 or offset + n > L:
-            problems.append((doc_id, f"capacity exceeded: offset {offset} + length {n} > {L}"))
+            problems.append((ids[k], f"capacity exceeded: offset {offset} + length {n} > {L}"))
         else:
             pieces.append((offset, False, offset + n))
-    for off in sample.separator_positions:
+    for off in separators:
         if 0 <= off < L:
             pieces.append((off, True, off + 1))
         else:
             problems.append((None, f"separator position {off} out of range"))
 
-    # every piece lies inside [0, L), so occupancy cannot exceed L
-    occupied = 0
+    # every piece lies inside [0, L), so the covered prefix cannot pass L
+    covered = 0
     for a, is_separator, b in sorted(pieces):
-        if a > occupied:
-            problems.append((None, f"gap in sample at offset {occupied}"))
-        elif a < occupied and is_separator:
+        if a > covered:
+            problems.append((None, f"gap in sample at offset {covered}"))
+        elif a < covered and is_separator:
             problems.append((None, f"separator at {a} inside a placement"))
-        elif a < occupied:
+        elif a < covered:
             problems.append((None, "overlapping spans within sample"))
-        occupied = max(occupied, b)
-    return occupied, [Violation(i, doc_id, message) for doc_id, message in problems]
+        covered = max(covered, b)
+    return covered, [Violation(i, doc_id, message) for doc_id, message in problems]
 
 
 def verify_manifest(
@@ -145,41 +149,62 @@ def verify_manifest(
             )
         )
 
-    # doc_id -> (sample position, start, end) of every placement that ends
-    # inside its document, in manifest order; the layout rule judges its start
-    placed: dict[str, list[tuple[int, int, int]]] = {}
-    last = len(manifest.samples) - 1
-    for i, sample in enumerate(manifest.samples):
+    plan = manifest.samples
+    ids = plan.ids
+    length_of = [lengths.get(doc_id) for doc_id in ids]  # by document index
+    # document index -> (sample position, start, end) of every placement that
+    # ends inside its document, in manifest order; the layout rule judges its start
+    placed: dict[int, list[tuple[int, int, int]]] = {}
+    misplaced: list[Violation] = []  # separator rule violations
+    carried = None  # a cts document whose separator opens the next sample
+    last = len(plan) - 1
+    for i, (rows, separators) in enumerate(plan.iter_samples()):
         # a head-rule sample starts with a placement; a concat_then_split one
         # may hold only a separator (the kept tail of a k*L + 1 token stream)
-        if not sample.placements and (strategy in _HEAD_RULE or not sample.separator_positions):
+        if not rows and (strategy in _HEAD_RULE or not separators):
             v.append(Violation(i, None, "sample has no placements"))
             continue
 
-        occupied, problems = _sample_layout(i, sample, L)
+        covered, problems = _sample_layout(i, rows, separators, ids, L)
         v.extend(problems)
-        for doc_id, start, end, _ in sample.placements:
-            n = lengths.get(doc_id)
+        for k, start, end, _ in rows:
+            n = length_of[k]
             if n is None:
-                v.append(Violation(i, doc_id, "unknown doc_id"))
+                v.append(Violation(i, ids[k], "unknown doc_id"))
             elif end > n:
-                v.append(Violation(i, doc_id, f"end {end} outside document bounds (length {n})"))
+                v.append(Violation(i, ids[k], f"end {end} outside document bounds (length {n})"))
             else:
-                placed.setdefault(doc_id, []).append((i, start, end))
+                placed.setdefault(k, []).append((i, start, end))
 
         # the fragmenting strategies fill every sample they keep, bar a
         # final sample kept by --no-final-drop
-        if occupied < L and strategy not in _FRAGMENT_FREE and (cfg.drop_final_partial or i != last):
+        if covered < L and strategy not in _FRAGMENT_FREE and (cfg.drop_final_partial or i != last):
             v.append(Violation(i, None, "unexpected padding under zero-padding strategy"))
 
         if strategy in _HEAD_RULE:
-            doc_id, start, _, offset = sample.placements[0]
+            k, start, _, offset = rows[0]
             if offset != 0 or start != 0:
-                v.append(Violation(i, doc_id, "sample must start with a document head"))
+                v.append(Violation(i, ids[k], "sample must start with a document head"))
+
+        # separators: a last token before L is followed by one, a cts one at L
+        # has it at 0 of the next sample (an unknown document has no last token)
+        want = {} if carried is None else {0: carried}
+        carried = None
+        for k, start, end, offset in rows if cfg.sep_after_every_doc else ():
+            if end == length_of[k] and offset + end - start < L:
+                want[offset + end - start] = ids[k]
+            elif end == length_of[k] and strategy is Strategy.CONCAT_THEN_SPLIT:
+                carried = ids[k]
+        seps = set(separators)
+        for at, doc_id in want.items():
+            if at not in seps:
+                misplaced.append(Violation(i, doc_id, f"no separator after its last token at {at}"))
+        for at in sorted(seps.difference(want)):
+            misplaced.append(Violation(i, None, f"separator at {at} does not follow a document's last token"))
 
     complete: set[str] = set()  # restart_last_document: docs placed whole
-    for doc_id, pls in placed.items():
-        n = lengths[doc_id]
+    for k, pls in placed.items():
+        doc_id, n = ids[k], length_of[k]
         if strategy in _FRAGMENT_FREE:
             if len(pls) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))
@@ -213,8 +238,9 @@ def verify_manifest(
     # every document is placed, bar the discarded tail the corpus implies
     discarded = 0
     if strategy in _FRAGMENT_FREE:
+        placed_ids = {ids[k] for k in placed}
         for doc_id in lengths:
-            if doc_id not in placed:
+            if doc_id not in placed_ids:
                 v.append(Violation(None, doc_id, "document missing from packing"))
     elif strategy is Strategy.CONCAT_THEN_SPLIT:
         stream_len = total_tokens + len(documents) * cfg.separator_cost
@@ -222,12 +248,12 @@ def verify_manifest(
             want, discarded = divmod(stream_len, L)
         else:
             want = -(-stream_len // L)
-        if len(manifest.samples) != want:
+        if len(plan) != want:
             v.append(
                 Violation(
                     None,
                     None,
-                    f"sample count {len(manifest.samples)} is not {want} for a "
+                    f"sample count {len(plan)} is not {want} for a "
                     f"{stream_len}-token stream",
                 )
             )
@@ -253,7 +279,7 @@ def verify_manifest(
         )
 
     try:
-        recomputed = compute_metrics(manifest.samples, documents, L)
+        recomputed = compute_metrics(plan, documents, L)
     except KeyError:
         v.append(Violation(None, None, "metrics not recomputable: placements reference unknown documents"))
     else:
@@ -265,22 +291,9 @@ def verify_manifest(
                     Violation(None, None, f"metrics mismatch: {field.name} stored {a}, recomputed {b}")
                 )
 
-    # separators, only when all else holds (so every id is known): a last token
-    # before L is followed by one, a cts one at L has it at 0 of the next sample
-    carried = None
-    for i, sample in enumerate(() if v else manifest.samples):
-        want = {} if carried is None else {0: carried}
-        carried = None
-        for doc_id, start, end, offset in sample.placements if cfg.sep_after_every_doc else ():
-            if end == lengths[doc_id] and offset + end - start < L:
-                want[offset + end - start] = doc_id
-            elif end == lengths[doc_id] and strategy is Strategy.CONCAT_THEN_SPLIT:
-                carried = doc_id
-        seps = set(sample.separator_positions)
-        for at, doc_id in want.items():
-            if at not in seps:
-                v.append(Violation(i, doc_id, f"no separator after its last token at {at}"))
-        for at in sorted(seps.difference(want)):
-            v.append(Violation(i, None, f"separator at {at} does not follow a document's last token"))
+    # the separator rule's violations count only when all else holds, so
+    # each other fault keeps its report as it is
+    if not v:
+        v.extend(misplaced)
 
     return VerificationReport(tuple(v), tuple(documents))

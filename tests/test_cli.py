@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -823,3 +824,62 @@ def test_no_command_needs_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s.bin").stat().st_size > 0
+
+
+def _commands(directory, size):
+    """Every command once on a ``size``-document full corpus in ``directory``:
+    (argv, exit code) pairs, a failing verify and an error exit included."""
+    rng = random.Random(size)
+    directory.mkdir()
+    lengths = [rng.randint(1, 20) for _ in range(size)]
+    corpus, _ = write_token_corpus(directory, lengths, rng)
+    other = write_lengths_corpus(directory, [n + 1 for n in lengths], name="other.jsonl")
+    manifest = directory / "m.json"
+    L = ["--context-length", "16"]
+    return [
+        (["pack", *L, "--strategy", "bfp", str(corpus), "--out", str(manifest)], 0),
+        (["compare", *L, str(corpus)], 0),
+        (["verify", str(corpus), "--manifest", str(manifest)], 0),
+        (["verify", str(other), "--manifest", str(manifest)], 1),
+        (["emit", str(corpus), "--manifest", str(manifest), "--out", str(directory / "s.bin"),
+          "--decode-check"], 0),
+        (["stats", str(corpus), *L], 0),
+        (["stats", str(directory / "missing.jsonl")], 2),
+    ]
+
+
+def _garbage_after(commands, capsys) -> int:
+    """Run ``commands`` in process with the collector off and return how
+    many unreachable objects the collector then finds."""
+    gc.collect()
+    gc.disable()
+    try:
+        for argv, code in commands:
+            assert main(argv) == code, argv
+            assert not gc.isenabled(), argv  # main restores the caller's setting
+        capsys.readouterr()
+        return gc.collect()  # before an automatic collection can run
+    finally:
+        gc.enable()
+
+
+def test_commands_make_no_garbage_that_grows_with_the_corpus(tmp_path, capsys):
+    # main runs without the cyclic collector, which is sound only while what
+    # a command leaves for it does not grow with its input
+    _garbage_after(_commands(tmp_path / "warm", 10), capsys)  # first-use caches
+    small = _garbage_after(_commands(tmp_path / "small", 10), capsys)
+    large = _garbage_after(_commands(tmp_path / "large", 1000), capsys)
+    assert small == large
+
+
+def test_main_turns_the_collector_off_and_restores_it(tmp_path, capsys, monkeypatch):
+    corpus = _toy_corpus(tmp_path)
+    monkeypatch.setattr(cli, "render_stats", lambda stats: f"collecting={gc.isenabled()}")
+    assert gc.isenabled()
+    assert _run(capsys, ["stats", str(corpus)]) == (0, "collecting=False\n", "")
+    assert gc.isenabled()
+    assert _run(capsys, ["stats", str(tmp_path / "missing.jsonl")])[0] == 2
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.isenabled()

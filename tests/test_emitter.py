@@ -31,7 +31,8 @@ from seqpack.manifest_io import write_bytes_atomic
 from seqpack.model import PackedSample
 
 from util import (
-    ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, replace_row, write_token_corpus,
+    ALL_STRATEGIES, docs_from_lengths, make_config, plan_table, random_lengths, replace_row,
+    write_token_corpus,
 )
 
 HEADER = struct.Struct("<4sHHIQ")
@@ -250,7 +251,7 @@ def test_decode_checks_placement_before_use(toy_docs, change, message):
     m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
     first = replace_row(m.samples[0].placements[0], **change)
-    bad = replace(m, samples=(replace(m.samples[0], placements=(first,)),) + m.samples[1:])
+    bad = replace(m, samples=plan_table((replace(m.samples[0], placements=(first,)),) + m.samples[1:]))
     with pytest.raises(DecodeError, match=message):
         decode_samples(io.BytesIO(blob), bad, _toy_store(), summary.checksum)
 
@@ -337,7 +338,7 @@ def test_emit_rejects_boundary_overflow(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     # graft 65536 single-token placements onto one sample
     many = (("A", 0, 1, 0),) * 65536
-    bad = replace(m, samples=(replace(m.samples[0], placements=many),) + m.samples[1:])
+    bad = replace(m, samples=plan_table((replace(m.samples[0], placements=many),) + m.samples[1:]))
     with pytest.raises(EmitError, match="boundary plane holds at most"):
         emit_samples(bad, _toy_store(), io.BytesIO())
 
@@ -365,7 +366,7 @@ def test_emit_and_decode_check_sample_layout(toy_docs, placements, separators, m
     # emit writes nothing of it, and decode refuses it before reading a plane
     m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
-    bad = replace(m, samples=(PackedSample(placements, separators),) + m.samples[1:])
+    bad = replace(m, samples=plan_table((PackedSample(placements, separators),) + m.samples[1:]))
     sink = io.BytesIO()
     with pytest.raises(EmitError, match=rf"^sample 0\b.*{message}"):
         emit_samples(bad, _toy_store(), sink)

@@ -46,7 +46,7 @@ from seqpack.manifest_io import (
     write_manifest,
 )
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, plan_table
 
 
 def test_round_trip_preserves_manifest(toy_docs):
@@ -368,7 +368,7 @@ def _manifests(draw):
     return PackingManifest(
         cfg,
         CorpusSummary(draw(_INT), draw(_INT), tuple(draw(st.lists(_DOC_ID, max_size=3)))),
-        tuple(draw(st.lists(sample, max_size=6))),
+        plan_table(draw(st.lists(sample, max_size=6))),
         PackingMetrics(draw(_INT), draw(_INT), draw(_INT), draw(_INT), draw(rate), draw(rate)),
         draw(_INT),
     )
@@ -378,7 +378,7 @@ def _toy_manifest(*samples) -> PackingManifest:
     return PackingManifest(
         PackingConfig(8, Strategy.BEST_FIT),
         CorpusSummary(2, 7),
-        samples,
+        plan_table(samples),
         PackingMetrics(len(samples), 8 * len(samples), 0, 1, 0.0, 0.125),
     )
 
@@ -435,3 +435,42 @@ def test_write_memory_does_not_grow_with_the_manifest(tmp_path):
     size = path.stat().st_size
     assert size > 4_000_000
     assert peak < size / 4, (peak, size)
+
+
+def _held(make):
+    """What ``make()`` returns and the bytes still allocated after it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "strategy, lengths",
+    [
+        # the plan_only shape: uniform in [1, 2L], half of it split
+        (Strategy.RESTART_LAST_DOCUMENT, lambda rng: rng.randint(1, 4096)),
+        # the short_docs shape: log-normal around 300 tokens
+        (Strategy.BEST_FIT, lambda rng: min(16384, max(1, round(rng.lognormvariate(5.7, 1.02))))),
+    ],
+    ids=["restart_uniform", "best_fit_lognormal"],
+)
+def test_plan_memory_is_columnar(strategy, lengths):
+    # a placement is four array slots, not a row tuple of boxed ints: the plan
+    # pack_corpus returns holds at most 64 B per placement beyond the retained
+    # records it indexes, and a manifest read back at most 128 B, its id
+    # strings included (row tuples took 150-190 B and ~245 B)
+    rng = random.Random(22)
+    cfg = make_config(strategy, context_length=2048)
+    docs = apply_policy(docs_from_lengths([lengths(rng) for _ in range(20_000)]), cfg)[0]
+    manifest, plan_bytes = _held(lambda: pack_corpus(docs, cfg))
+    placements = len(manifest.samples.doc)
+    assert plan_bytes / placements <= 64, plan_bytes / placements
+    text = manifest_to_json(manifest)
+    del manifest
+    back, read_bytes = _held(lambda: manifest_from_json(text))
+    assert manifest_to_json(back) == text
+    assert read_bytes / placements <= 128, read_bytes / placements

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from seqpack import (
     DocumentRecord,
     LongDocPolicy,
     Strategy,
+    apply_policy,
     effective_length,
     pack_corpus,
 )
@@ -336,6 +338,86 @@ def test_best_fit_picks_smallest_sufficient_residual_lowest_id(case):
         residuals[sample] -= eff
     assert len(m.samples) == len(residuals)
     assert [L - s.occupied_tokens for s in m.samples] == residuals
+
+
+# --- metamorphic relations ---------------------------------------------------
+# Each relation ties two runs of the planner together, so it holds for any
+# corpus without an expected plan: offline best_fit ignores corpus order,
+# online best_fit over records already in its order is offline best_fit, and
+# a sequential strategy never revises a sample it has closed.
+
+def _permuted_plan_is_the_plan(docs, cfg, rng):
+    shuffled = list(docs)
+    rng.shuffle(shuffled)
+    a, b = pack_corpus(docs, cfg), pack_corpus(shuffled, cfg)
+    assert (a.samples, a.metrics) == (b.samples, b.metrics)
+
+
+def _presorted_online_plan_is_the_offline_plan(docs, cfg):
+    online = make_config(Strategy.BEST_FIT, cfg.context_length, long_doc_policy=cfg.long_doc_policy,
+                         slide_overlap=cfg.slide_overlap, sep_after_every_doc=cfg.sep_after_every_doc,
+                         online=True)
+    retained = apply_policy(docs, cfg)[0]
+    presorted = sorted(retained, key=lambda d: (-effective_length(d.length, cfg), d.doc_id))
+    a, b = pack_corpus(docs, cfg), pack_corpus(presorted, online)
+    assert (a.samples, a.metrics) == (b.samples, b.metrics)
+
+
+def _prefix_plan_is_a_prefix(docs, cfg, cut):
+    closed = list(pack_corpus(docs[:cut], cfg).samples)[:-1]
+    assert list(islice(pack_corpus(docs, cfg).samples, len(closed))) == closed
+
+
+@st.composite
+def _corpora(draw, strategies):
+    """A small corpus, some of it over-length, and a config of any policy
+    and flags for one of ``strategies``."""
+    L = draw(st.integers(2, 24))
+    policy = draw(st.sampled_from(LongDocPolicy))
+    cfg = make_config(
+        draw(st.sampled_from(strategies)),
+        context_length=L,
+        long_doc_policy=policy,
+        slide_overlap=draw(st.integers(1, L - 1)) if policy is LongDocPolicy.SLIDE else None,
+        sep_after_every_doc=draw(st.booleans()),
+        drop_final_partial=draw(st.booleans()),
+    )
+    return docs_from_lengths(draw(st.lists(st.integers(1, 2 * L), max_size=40))), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora([Strategy.BEST_FIT]), st.randoms(use_true_random=False))
+def test_offline_best_fit_ignores_corpus_order(case, rng):
+    _permuted_plan_is_the_plan(*case, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora([Strategy.BEST_FIT]))
+def test_online_best_fit_over_presorted_records_is_offline_best_fit(case):
+    _presorted_online_plan_is_the_offline_plan(*case)
+
+
+_SEQUENTIAL = [Strategy.CONCAT_THEN_SPLIT, Strategy.RESTART_LAST_DOCUMENT, Strategy.PAD_LAST_DOCUMENT]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corpora(_SEQUENTIAL), st.data())
+def test_sequential_plan_of_a_prefix_is_a_prefix(case, data):
+    docs, cfg = case
+    _prefix_plan_is_a_prefix(docs, cfg, data.draw(st.integers(0, len(docs))))
+
+
+def test_metamorphic_relations_hold_on_a_large_corpus():
+    # the short_docs shape at 1e5 documents: log-normal around 300 tokens, L=2048
+    rng = random.Random(14)
+    docs = docs_from_lengths(
+        [min(16384, max(1, round(rng.lognormvariate(5.7, 1.02)))) for _ in range(100_000)]
+    )
+    best_fit = make_config(Strategy.BEST_FIT, context_length=2048)
+    _permuted_plan_is_the_plan(docs, best_fit, rng)
+    _presorted_online_plan_is_the_offline_plan(docs, best_fit)
+    for strategy in _SEQUENTIAL:
+        _prefix_plan_is_a_prefix(docs, make_config(strategy, context_length=2048), 21_803)
 
 
 # --- shared properties -------------------------------------------------------

@@ -21,6 +21,7 @@ from util import (
     ALL_STRATEGIES,
     docs_from_lengths,
     make_config,
+    plan_table,
     random_lengths,
     replace_row,
     separator_mutant,
@@ -103,7 +104,7 @@ def test_report_holds_the_retained_records(policy, overlap):
 def _tamper_sample(manifest, sample_idx, **changes):
     samples = list(manifest.samples)
     samples[sample_idx] = replace(samples[sample_idx], **changes)
-    return replace(manifest, samples=tuple(samples))
+    return replace(manifest, samples=plan_table(samples))
 
 
 def _tamper_placement(manifest, sample_idx, placement_idx, **changes):
@@ -136,8 +137,9 @@ def test_detects_more_placements_than_the_boundary_plane_holds():
         tuple((d.doc_id, 0, 1, 2 * i) for i, d in enumerate(docs)),
         tuple(2 * i + 1 for i in range(len(docs))),
     )
-    metrics = compute_metrics([sample], docs, cfg.context_length)
-    manifest = PackingManifest(cfg, CorpusSummary(len(docs), len(docs)), (sample,), metrics)
+    plan = plan_table([sample])
+    metrics = compute_metrics(plan, docs, cfg.context_length)
+    manifest = PackingManifest(cfg, CorpusSummary(len(docs), len(docs)), plan, metrics)
     assert [str(v) for v in verify_manifest(manifest, docs).violations] == [
         "sample 0: 70000 placements; the boundary plane holds at most 65535"
     ]
@@ -211,7 +213,7 @@ def test_detects_unexpected_padding_under_zero_padding_strategy(toy_docs):
 def test_only_a_kept_final_sample_may_pad(toy_docs, strategy):
     # --no-final-drop keeps a padded final sample, not a padded one
     # mid-stream: each document alone with its separator, metrics recomputed
-    samples = tuple(PackedSample(((d.doc_id, 0, d.length, 0),), (d.length,)) for d in toy_docs)
+    samples = plan_table(PackedSample(((d.doc_id, 0, d.length, 0),), (d.length,)) for d in toy_docs)
     manifest, docs = _pack(toy_docs, strategy, drop_final_partial=False)
     bad = replace(manifest, samples=samples, metrics=compute_metrics(samples, docs, 5))
     assert [str(v) for v in verify_manifest(bad, docs).violations] == [
@@ -306,8 +308,9 @@ def test_detects_restart_order_violation():
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
     s0 = PackedSample((("d0", 0, 4, 0),), (4,))
     s1 = PackedSample((("d0", 0, 2, 0),))
-    metrics = compute_metrics([s0, s1], docs, 5)
-    bad = PackingManifest(cfg, CorpusSummary(1, 4), (s0, s1), metrics, 0)
+    plan = plan_table([s0, s1])
+    metrics = compute_metrics(plan, docs, 5)
+    bad = PackingManifest(cfg, CorpusSummary(1, 4), plan, metrics, 0)
     msgs = _messages(verify_manifest(bad, docs))
     assert "restart precedes its tail fragment" in msgs
 
@@ -355,8 +358,8 @@ def test_detects_missing_middle_sample(strategy, message):
     docs = docs_from_lengths([4, 4, 4])
     manifest = pack_corpus(docs, make_config(strategy))
     assert len(manifest.samples) == 3
-    samples = (manifest.samples[0], manifest.samples[2])
-    metrics = compute_metrics(list(samples), docs, 5)
+    samples = plan_table((manifest.samples[0], manifest.samples[2]))
+    metrics = compute_metrics(samples, docs, 5)
     bad = replace(manifest, samples=samples, metrics=metrics)
     assert message in _messages(verify_manifest(bad, docs))
 
@@ -373,8 +376,8 @@ def test_detects_wrong_discarded_tail(toy_docs, strategy):
 def test_restart_kept_tail_must_place_every_document(toy_docs):
     # with the final sample kept, the dropped-tail suffix must be empty
     manifest, docs = _pack(toy_docs, Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
-    bad = replace(manifest, samples=manifest.samples[:-1])
-    bad = replace(bad, metrics=compute_metrics(list(bad.samples), docs, 5))
+    bad = replace(manifest, samples=plan_table(manifest.samples[:-1]))
+    bad = replace(bad, metrics=compute_metrics(bad.samples, docs, 5))
     assert [v.doc_id for v in verify_manifest(bad, docs).violations] == ["C"]
 
 

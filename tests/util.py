@@ -9,7 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from seqpack import DocumentRecord, PackingConfig, Strategy, compute_metrics, pack_corpus
+from seqpack import (
+    DocumentRecord,
+    PackingConfig,
+    PlanTable,
+    Strategy,
+    compute_metrics,
+    pack_corpus,
+)
 
 
 def docs_from_lengths(lengths, prefix="d") -> list[DocumentRecord]:
@@ -27,14 +34,33 @@ def replace_row(row, **changes) -> tuple:
     return tuple(fields.values())
 
 
+def plan_table(samples) -> PlanTable:
+    """The placement table holding ``samples``, ``PackedSample`` rows in
+    order: a plan built by hand."""
+    plan = PlanTable()
+    index_of: dict = {}
+    for sample in samples:
+        for doc_id, start, end, offset in sample.placements:
+            plan.doc.append(index_of.setdefault(doc_id, len(index_of)))
+            plan.start.append(start)
+            plan.end.append(end)
+            plan.offset.append(offset)
+        plan.separators.extend(sample.separator_positions)
+        plan.end_sample()
+    plan.ids.extend(index_of)
+    return plan
+
+
 def separator_mutant(strategy, sep, lengths, context_length, samples):
     """The corpus ``lengths`` (doc_id -> length) and the manifest ``pack_corpus``
-    gives it, with ``samples`` in place of its own and the metrics recomputed."""
+    gives it, with ``samples`` (``PackedSample`` rows) in place of its own
+    and the metrics recomputed."""
     docs = [DocumentRecord(doc_id, n) for doc_id, n in lengths.items()]
     cfg = make_config(strategy, context_length, sep_after_every_doc=sep)
     manifest = pack_corpus(docs, cfg)
-    metrics = compute_metrics(samples, docs, context_length)
-    return replace(manifest, samples=samples, metrics=metrics), docs
+    plan = plan_table(samples)
+    metrics = compute_metrics(plan, docs, context_length)
+    return replace(manifest, samples=plan, metrics=metrics), docs
 
 
 def random_lengths(rng: random.Random, count: int, max_len: int) -> list[int]:
