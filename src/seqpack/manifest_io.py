@@ -14,7 +14,7 @@ from dataclasses import asdict
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import BinaryIO, Callable, TypeVar, get_type_hints
+from typing import BinaryIO, Callable, Iterable, TypeVar, get_type_hints
 
 from .model import (
     ConfigError,
@@ -39,11 +39,6 @@ __all__ = [
 MANIFEST_FORMAT = "seqpack-manifest/1"
 
 _T = TypeVar("_T")
-
-
-def _padding(plan: PlanTable, i: int, L: int) -> list[int] | None:
-    occupied = plan.occupied_tokens(i, i + 1)
-    return [occupied, L] if occupied < L else None
 
 
 def _json_pieces(manifest: PackingManifest):
@@ -82,8 +77,8 @@ def _json_pieces(manifest: PackingManifest):
                         f"cannot write manifest: sample {index}: doc_id {doc_id!r} is not a str"
                     ) from None
             raise
-        padding = _padding(plan, index, L)
-        padding = "null" if padding is None else f"[{padding[0]},{L}]"
+        occupied = plan.occupied_tokens(index, index + 1)
+        padding = f"[{occupied},{L}]" if occupied < L else "null"
         seps = ",".join(map(str, islice(separators, m)))
         yield (
             f'{comma}{{"index":{index},"padding":{padding},'
@@ -112,23 +107,31 @@ def _number(block: dict, key: str, kind: type, where: str) -> int | float:
 
 
 _METRIC_TYPES = get_type_hints(PackingMetrics)
+_KEYS = frozenset(("format", "config", "documents", "discarded_tail_tokens", "metrics", "samples"))
+_SAMPLE_KEYS = frozenset(("index", "padding", "placements", "separators"))
+_SAMPLES_OPEN = ',"samples":['  # where the writer's head ends
 
 
-def _read_samples(rows: list, L: int) -> PlanTable:
-    """The plan in a manifest's ``samples`` rows, each row checked for its
-    shape and its derived fields (``index`` is the row's position,
-    ``padding`` the unoccupied suffix) and set to ``None`` once it is in
-    the table, so the rows and the table are never both whole."""
+def _read_samples(samples: Iterable, L: int) -> PlanTable:
+    """The plan in a manifest's ``samples``, taken one at a time: each
+    sample is checked for its shape and its derived fields (``index`` is
+    its position, ``padding`` the unoccupied suffix) as its rows go into
+    the table, and is not needed after that."""
     plan = PlanTable()
     index_of: dict[str, int] = {}  # doc id -> its index in plan.ids
     add_doc, add_start, add_end, add_offset = (
         plan.doc.append, plan.start.append, plan.end.append, plan.offset.append
     )
-    for index, s in enumerate(rows):
+    for index, s in enumerate(samples):
         where = f"malformed manifest: sample {index}:"
         if type(s["index"]) is not int or s["index"] != index:
             raise ManifestError(f"{where} index {json.dumps(s['index'])} is not its position")
+        if s.keys() != _SAMPLE_KEYS:
+            for key in s:
+                if key not in _SAMPLE_KEYS:
+                    raise ManifestError(f"{where} unknown key {key!r}")
         try:
+            occupied = 0
             for doc_id, start, end, offset in s["placements"]:
                 if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
                     row = json.dumps([doc_id, start, end, offset])
@@ -137,6 +140,7 @@ def _read_samples(rows: list, L: int) -> PlanTable:
                 add_start(start)
                 add_end(end)
                 add_offset(offset)
+                occupied += end - start
             separators = s["separators"]
             if type(separators) is not list or not _ints(separators):
                 raise ManifestError(f"{where} separators must be a list of ints")
@@ -144,23 +148,24 @@ def _read_samples(rows: list, L: int) -> PlanTable:
         except OverflowError:  # the columns hold signed 64-bit ints
             raise ManifestError(f"{where} a value does not fit a signed 64-bit int") from None
         plan.end_sample()
-        padding = _padding(plan, index, L)
+        occupied += len(separators)
+        padding = [occupied, L] if occupied < L else None
         if s["padding"] != padding or (padding and not _ints(s["padding"])):
             shown = json.dumps(s["padding"])
             raise ManifestError(f"{where} padding {shown} is not {json.dumps(padding)}")
-        rows[index] = None
     plan.ids.extend(index_of)
     return plan
 
 
-def manifest_from_json(text: str) -> PackingManifest:
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+def _manifest(payload, samples: Iterable) -> PackingManifest:
+    """The manifest whose blocks ``payload`` holds, bar its samples, which
+    ``samples`` gives in order."""
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MANIFEST_FORMAT:
         raise ManifestError(f"unsupported manifest format: {found!r}")
+    for key in payload:
+        if key not in _KEYS:
+            raise ManifestError(f"malformed manifest: unknown key {key!r}")
     try:
         cfg = PackingConfig(**payload["config"])
         docs = payload["documents"]
@@ -172,7 +177,7 @@ def manifest_from_json(text: str) -> PackingManifest:
             _number(docs, "total_tokens", int, "documents."),
             tuple(dropped),
         )
-        plan = _read_samples(payload["samples"], cfg.context_length)
+        plan = _read_samples(samples, cfg.context_length)
         m = payload["metrics"]
         metrics = PackingMetrics(
             **{name: _number(m, name, kind, "metrics.") for name, kind in _METRIC_TYPES.items()}
@@ -181,6 +186,71 @@ def manifest_from_json(text: str) -> PackingManifest:
         return PackingManifest(cfg, summary, plan, metrics, discarded)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from None
+
+
+def _taken(payload: dict):
+    """``payload["samples"]`` in order, each let go of once the reader has
+    it in the table, so the parsed samples and the table are never both
+    whole."""
+    rows = payload["samples"]
+    for index, row in enumerate(rows):
+        yield row
+        rows[index] = None
+
+
+def _whole_text(text: str) -> PackingManifest:
+    """The manifest in ``text``, parsed as one JSON document."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+    return _manifest(payload, _taken(payload))
+
+
+def _decoded_samples(text: str, pos: int):
+    """The samples of the array that opens just before ``pos``, decoded one
+    at a time.  Raises ``ValueError`` where the samples are not joined by
+    ``,`` and closed by ``]`` with only ``}`` or ``}\\n`` after it."""
+    decode = json.JSONDecoder().raw_decode
+    if text.startswith("]", pos):
+        pos += 1
+    else:
+        while True:
+            sample, pos = decode(text, pos)
+            yield sample
+            after = text[pos:pos + 1]
+            pos += 1
+            if after == "]":
+                break
+            if after != ",":
+                raise ValueError(f"no , or ] after a sample at {pos - 1}")
+    if len(text) - pos > 2 or text[pos:] not in ("}", "}\n"):
+        raise ValueError(f"not the manifest's end at {pos}")
+
+
+def _streamed(text: str) -> PackingManifest | None:
+    """The manifest in ``text`` in the writer's layout, read one sample at
+    a time, so the parsed samples are never whole; ``None`` where ``text``
+    is laid out otherwise or fails any check, with the partial table let go."""
+    at = text.find(_SAMPLES_OPEN)
+    if at < 0:
+        return None
+    try:
+        # a head that parses closes at the top level, so the samples are a top-level key
+        head = json.loads(text[:at] + "}")
+        if type(head) is not dict or "samples" in head:
+            return None
+        return _manifest(head, _decoded_samples(text, at + len(_SAMPLES_OPEN)))
+    except (ManifestError, ValueError, RecursionError):
+        return None
+
+
+def manifest_from_json(text: str) -> PackingManifest:
+    """The manifest in ``text``.  Text in the writer's layout is decoded one
+    sample at a time into the plan's columns.  Any other text, and text
+    that fails a check, is parsed whole, so its error is that parse's."""
+    manifest = _streamed(text)
+    return _whole_text(text) if manifest is None else manifest
 
 
 def write_bytes_atomic(path: str | Path, write: Callable[[BinaryIO], _T]) -> _T:

@@ -44,7 +44,16 @@ def compute_metrics(
     placement of a document missing from ``documents`` raises ``KeyError``.
     """
     lengths = {d.doc_id: d.length for d in documents}
-    length_of = [lengths.get(doc_id) for doc_id in samples.ids]  # by document index
+    length_of = [lengths.get(doc_id) for doc_id in samples.ids]
+    return _plan_metrics(samples, length_of, len(documents), context_length)
+
+
+def _plan_metrics(
+    samples: PlanTable, length_of: list[int | None], document_count: int, context_length: int
+) -> PackingMetrics:
+    """``compute_metrics`` given each document's length by its index in
+    ``samples.ids`` (``None`` for a document the corpus lacks) and the
+    corpus's document count."""
     # flag the document of every placement shorter than its document; an
     # unknown document (length None) never matches, so it is flagged too
     placed = map(operator.sub, samples.end, samples.start)
@@ -59,7 +68,7 @@ def compute_metrics(
     sample_count = len(samples)
     total = sample_count * context_length
     padding = total - samples.occupied_tokens()
-    frag_rate = fragmented_count / len(documents) if documents else 0.0
+    frag_rate = fragmented_count / document_count if document_count else 0.0
     pad_rate = padding / total if total else 0.0
     return PackingMetrics(sample_count, total, fragmented_count, padding, frag_rate, pad_rate)
 

@@ -10,11 +10,13 @@ data instead of raising, so a caller can show all of them at once.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields
+from itertools import accumulate, compress
 from typing import Sequence
 
 from .longdoc import apply_policy
-from .metrics import compute_metrics
+from .metrics import _plan_metrics
 from .model import (
     DocumentRecord,
     PackingManifest,
@@ -152,9 +154,9 @@ def verify_manifest(
     plan = manifest.samples
     ids = plan.ids
     length_of = [lengths.get(doc_id) for doc_id in ids]  # by document index
-    # document index -> (sample position, start, end) of every placement that
+    # (document index, sample position, start, end) of every placement that
     # ends inside its document, in manifest order; the layout rule judges its start
-    placed: dict[int, list[tuple[int, int, int]]] = {}
+    kept_doc, kept_sample, kept_start, kept_end = (array("q") for _ in range(4))
     misplaced: list[Violation] = []  # separator rule violations
     carried = None  # a cts document whose separator opens the next sample
     last = len(plan) - 1
@@ -174,7 +176,10 @@ def verify_manifest(
             elif end > n:
                 v.append(Violation(i, ids[k], f"end {end} outside document bounds (length {n})"))
             else:
-                placed.setdefault(k, []).append((i, start, end))
+                kept_doc.append(k)
+                kept_sample.append(i)
+                kept_start.append(start)
+                kept_end.append(end)
 
         # the fragmenting strategies fill every sample they keep, bar a
         # final sample kept by --no-final-drop
@@ -202,31 +207,50 @@ def verify_manifest(
         for at in sorted(seps.difference(want)):
             misplaced.append(Violation(i, None, f"separator at {at} does not follow a document's last token"))
 
+    # group the kept placements by document with one stable counting sort:
+    # by_doc[group[k]:group[k + 1]] are document k's, in manifest order
+    counts = [0] * len(ids)
+    for k in kept_doc:
+        counts[k] += 1
+    group = array("q", [0])
+    group.extend(accumulate(counts))
+    next_row = group[:-1]
+    by_doc = array("q", bytes(8 * len(kept_doc)))
+    for r, k in enumerate(kept_doc):
+        by_doc[next_row[k]] = r
+        next_row[k] += 1
+
+    # each document in the order of its first kept placement
+    placed = bytearray(len(ids))
     complete: set[str] = set()  # restart_last_document: docs placed whole
-    for k, pls in placed.items():
+    for k in kept_doc:
+        if placed[k]:
+            continue
+        placed[k] = 1
+        pls = by_doc[group[k]:group[k + 1]]
         doc_id, n = ids[k], length_of[k]
         if strategy in _FRAGMENT_FREE:
             if len(pls) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))
-            _, start, end = pls[0]
-            if start != 0 or end != n:
+            r = pls[0]
+            if kept_start[r] != 0 or kept_end[r] != n:
                 v.append(
                     Violation(None, doc_id, "fragmented document under fragment-free strategy")
                 )
         elif strategy is Strategy.CONCAT_THEN_SPLIT:
             cursor = 0
-            for _, start, end in pls:
-                if start < cursor:
+            for r in pls:
+                if kept_start[r] < cursor:
                     v.append(Violation(None, doc_id, "duplicate coverage"))
                     break
-                if start > cursor:
+                if kept_start[r] > cursor:
                     v.append(Violation(None, doc_id, f"gap in coverage at token {cursor}"))
                     break
-                cursor = end
+                cursor = kept_end[r]
         else:  # restart_last_document: prefix fragments only, one restart at most
-            fulls = [i for i, _, end in pls if end == n]
-            partials = [i for i, _, end in pls if end < n]
-            if any(start != 0 for _, start, _ in pls):
+            fulls = [kept_sample[r] for r in pls if kept_end[r] == n]
+            partials = [kept_sample[r] for r in pls if kept_end[r] < n]
+            if any(kept_start[r] != 0 for r in pls):
                 v.append(Violation(None, doc_id, "placement must start at document offset 0"))
             if len(fulls) > 1 or len(partials) > 1:
                 v.append(Violation(None, doc_id, "duplicate coverage"))
@@ -238,7 +262,7 @@ def verify_manifest(
     # every document is placed, bar the discarded tail the corpus implies
     discarded = 0
     if strategy in _FRAGMENT_FREE:
-        placed_ids = {ids[k] for k in placed}
+        placed_ids = set(compress(ids, placed))
         for doc_id in lengths:
             if doc_id not in placed_ids:
                 v.append(Violation(None, doc_id, "document missing from packing"))
@@ -279,7 +303,7 @@ def verify_manifest(
         )
 
     try:
-        recomputed = compute_metrics(plan, documents, L)
+        recomputed = _plan_metrics(plan, length_of, len(documents), L)
     except KeyError:
         v.append(Violation(None, None, "metrics not recomputable: placements reference unknown documents"))
     else:

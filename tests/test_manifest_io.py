@@ -39,6 +39,8 @@ from seqpack import (
 from seqpack.longdoc import apply_policy
 from seqpack.manifest_io import (
     MANIFEST_FORMAT,
+    _streamed,
+    _whole_text,
     manifest_from_json,
     manifest_to_json,
     read_manifest,
@@ -175,6 +177,27 @@ def test_rejects_malformed_sample_fields(toy_docs, edit):
         manifest_from_json(_tampered(toy_docs, edit))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(extra=1), "unknown key 'extra'"),
+        (lambda p: p["samples"][1].update(extra=1), "sample 1: unknown key 'extra'"),
+    ],
+    ids=["top_level", "in_a_sample"],
+)
+def test_rejects_unknown_keys(toy_docs, edit, message):
+    manifest = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
+    payload = json.loads(manifest_to_json(manifest))
+    edit(payload)
+    # in the writer's layout the streamed read refuses it, and the whole-text
+    # read gives the message; any other layout is read whole
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert _streamed(text) is None
+    for layout in (text, json.dumps(payload)):
+        with pytest.raises(ManifestError, match=re.escape(f"malformed manifest: {message}")):
+            manifest_from_json(layout)
+
+
 @st.composite
 def _packed(draw):
     """A small random corpus packed under any strategy, policy and flag
@@ -249,6 +272,71 @@ def test_tampered_json_raises_only_packing_errors(case, data):
         emit_samples(tampered, store, io.BytesIO())
     with suppress(DecodeError):
         decode_samples(io.BytesIO(sink.getvalue()), tampered, store, checksum)
+
+
+def _shuffled(node, rng):
+    """``node`` with the keys of every object in it in a random order."""
+    if isinstance(node, dict):
+        keys = list(node)
+        rng.shuffle(keys)
+        return {key: _shuffled(node[key], rng) for key in keys}
+    if isinstance(node, list):
+        return [_shuffled(child, rng) for child in node]
+    return node
+
+
+_EDITS = ("none", "whitespace", "reordered", "duplicate_samples", "truncated", "trailing", "char", "punctuation")
+_CHARS = ("", " ", ",", ":", "[", "]", "{", "}", '"', "0", "-", ".", "e", "\\")
+
+
+@st.composite
+def _manifest_texts(draw):
+    """The writer's text of a small valid manifest, and one edit of it."""
+    manifest = draw(st.one_of(_packed().map(lambda case: case[0]), _manifests()))
+    text = manifest_to_json(manifest)
+    edit = draw(st.sampled_from(_EDITS))
+    at = draw(st.integers(0, len(text)))
+    if edit == "whitespace":
+        text = text[:at] + draw(st.sampled_from(" \n\t\r")) + text[at:]
+    elif edit == "reordered":
+        payload = _shuffled(json.loads(text), draw(st.randoms(use_true_random=False)))
+        text = json.dumps(payload, separators=(",", ":")) + draw(st.sampled_from(["", "\n"]))
+    elif edit == "duplicate_samples":
+        # a second samples key before the head or after the samples
+        text = draw(st.sampled_from([
+            '{"samples":[],' + text[1:],
+            text[:-2] + ',"samples":[]}\n',
+        ]))
+    elif edit == "truncated":
+        text = text[:at]
+    elif edit == "trailing":
+        text += draw(st.text(" \n,]}0x", min_size=1, max_size=3))
+    elif edit == "char":
+        text = text[:at] + draw(st.sampled_from(_CHARS)) + text[at + 1:]
+    elif edit == "punctuation":  # what follows a closing bracket, as between samples
+        at = draw(st.sampled_from([i for i in range(1, len(text)) if text[i - 1] in "]}"]))
+        text = text[:at] + draw(st.sampled_from(_CHARS)) + text[at + 1:]
+    return edit, text
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ManifestError as exc:
+        return f"ManifestError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_manifest_texts())
+def test_streamed_read_agrees_with_the_whole_text_read(case):
+    edit, text = case
+    whole = _outcome(_whole_text, text)
+    streamed = _streamed(text)
+    if edit == "none":
+        assert streamed is not None  # the writer's layout is read one sample at a time
+    if streamed is not None:
+        assert streamed == whole
+    assert _outcome(manifest_from_json, text) == whole
 
 
 def test_atomic_write_replaces_existing(tmp_path):
@@ -437,18 +525,20 @@ def test_write_memory_does_not_grow_with_the_manifest(tmp_path):
     assert peak < size / 4, (peak, size)
 
 
-def _held(make):
-    """What ``make()`` returns and the bytes still allocated after it returns."""
+def _traced(make):
+    """What ``make()`` returns, the bytes still allocated after it returns,
+    and the most allocated at once while it ran."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = make()
-        return result, tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
+        return result, held - before, peak - before
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize(
+_SHAPES = pytest.mark.parametrize(
     "strategy, lengths",
     [
         # the plan_only shape: uniform in [1, 2L], half of it split
@@ -458,19 +548,51 @@ def _held(make):
     ],
     ids=["restart_uniform", "best_fit_lognormal"],
 )
+
+
+def _shaped(strategy, lengths):
+    """20 000 documents of the shape ``lengths`` draws, as the policy keeps
+    them, and the config that packs them under ``strategy``."""
+    rng = random.Random(22)
+    cfg = make_config(strategy, context_length=2048)
+    return apply_policy(docs_from_lengths([lengths(rng) for _ in range(20_000)]), cfg)[0], cfg
+
+
+@_SHAPES
 def test_plan_memory_is_columnar(strategy, lengths):
     # a placement is four array slots, not a row tuple of boxed ints: the plan
     # pack_corpus returns holds at most 64 B per placement beyond the retained
     # records it indexes, and a manifest read back at most 128 B, its id
     # strings included (row tuples took 150-190 B and ~245 B)
-    rng = random.Random(22)
-    cfg = make_config(strategy, context_length=2048)
-    docs = apply_policy(docs_from_lengths([lengths(rng) for _ in range(20_000)]), cfg)[0]
-    manifest, plan_bytes = _held(lambda: pack_corpus(docs, cfg))
+    docs, cfg = _shaped(strategy, lengths)
+    manifest, plan_bytes, _ = _traced(lambda: pack_corpus(docs, cfg))
     placements = len(manifest.samples.doc)
     assert plan_bytes / placements <= 64, plan_bytes / placements
     text = manifest_to_json(manifest)
     del manifest
-    back, read_bytes = _held(lambda: manifest_from_json(text))
+    back, read_bytes, _ = _traced(lambda: manifest_from_json(text))
     assert manifest_to_json(back) == text
     assert read_bytes / placements <= 128, read_bytes / placements
+
+
+@_SHAPES
+def test_read_and_verify_peak_near_the_plan(strategy, lengths):
+    # the read decodes one sample at a time and verify groups coverage in
+    # array columns, so neither peaks far above the plan: at most 200 B per
+    # placement for the read and 280 B for verify, beyond what was allocated
+    # before (a whole-text parse peaked at 306-407 B, per-document lists of
+    # row tuples at 327-412 B)
+    docs, cfg = _shaped(strategy, lengths)
+    text = manifest_to_json(pack_corpus(docs, cfg))
+    manifest, _, read_peak = _traced(lambda: manifest_from_json(text))
+    placements = len(manifest.samples.doc)
+    assert read_peak / placements <= 200, read_peak / placements
+    # text the streamed read refuses only at its end is read whole, after
+    # the partial table is let go
+    spaced = text[:-1] + " \n"
+    _, _, whole_peak = _traced(lambda: _whole_text(spaced))
+    _, _, fallback_peak = _traced(lambda: manifest_from_json(spaced))
+    assert fallback_peak <= 1.05 * whole_peak, (fallback_peak, whole_peak)
+    report, _, verify_peak = _traced(lambda: verify_manifest(manifest, docs))
+    assert report.ok
+    assert verify_peak / placements <= 280, verify_peak / placements
