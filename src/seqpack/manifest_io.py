@@ -11,7 +11,6 @@ import json
 import os
 import stat
 from dataclasses import asdict
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, TypeVar, get_type_hints
@@ -24,7 +23,6 @@ from .model import (
     PackingManifest,
     PackingMetrics,
     PlanTable,
-    _counts,
 )
 
 __all__ = [
@@ -60,26 +58,23 @@ def _json_pieces(manifest: PackingManifest):
         "metrics": asdict(manifest.metrics),
     }
     yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"samples":['
-    plan = manifest.samples
-    # one pass over the columns: each sample takes the next rows and separators
-    rows = zip(map(_encode_str, map(plan.ids.__getitem__, plan.doc)), plan.start, plan.end, plan.offset)
-    separators = iter(plan.separators)
+    ids = manifest.samples.ids
     comma = ""
-    for index, (n, m) in enumerate(zip(_counts(plan.first), _counts(plan.sep_first))):
+    for index, (rows, separators) in enumerate(manifest.samples.iter_samples()):
         try:
             placements = ",".join([
-                f"[{doc_id},{start},{end},{offset}]" for doc_id, start, end, offset in islice(rows, n)
+                f"[{_encode_str(ids[k])},{start},{end},{offset}]" for k, start, end, offset in rows
             ])
         except TypeError:  # the reader accepts only str doc ids
-            for doc_id, *_ in plan[index].placements:
-                if not isinstance(doc_id, str):
+            for k, *_ in rows:
+                if not isinstance(ids[k], str):
                     raise ManifestError(
-                        f"cannot write manifest: sample {index}: doc_id {doc_id!r} is not a str"
+                        f"cannot write manifest: sample {index}: doc_id {ids[k]!r} is not a str"
                     ) from None
             raise
-        occupied = plan.occupied_tokens(index, index + 1)
+        occupied = len(separators) + sum(end - start for _, start, end, _ in rows)
         padding = f"[{occupied},{L}]" if occupied < L else "null"
-        seps = ",".join(map(str, islice(separators, m)))
+        seps = ",".join(map(str, separators))
         yield (
             f'{comma}{{"index":{index},"padding":{padding},'
             f'"placements":[{placements}],"separators":[{seps}]}}'
@@ -108,8 +103,18 @@ def _number(block: dict, key: str, kind: type, where: str) -> int | float:
 
 _METRIC_TYPES = get_type_hints(PackingMetrics)
 _KEYS = frozenset(("format", "config", "documents", "discarded_tail_tokens", "metrics", "samples"))
+_DOCUMENT_KEYS = frozenset(("count", "total_tokens", "dropped"))
+_METRIC_KEYS = frozenset(_METRIC_TYPES)
 _SAMPLE_KEYS = frozenset(("index", "padding", "placements", "separators"))
 _SAMPLES_OPEN = ',"samples":['  # where the writer's head ends
+
+
+def _known_keys(block: dict, keys: frozenset, where: str) -> None:
+    """Raise on the first key of ``block`` that is not one of ``keys``."""
+    if block.keys() != keys:
+        for key in block:
+            if key not in keys:
+                raise ManifestError(f"{where} unknown key {key!r}")
 
 
 def _read_samples(samples: Iterable, L: int) -> PlanTable:
@@ -126,13 +131,13 @@ def _read_samples(samples: Iterable, L: int) -> PlanTable:
         where = f"malformed manifest: sample {index}:"
         if type(s["index"]) is not int or s["index"] != index:
             raise ManifestError(f"{where} index {json.dumps(s['index'])} is not its position")
-        if s.keys() != _SAMPLE_KEYS:
-            for key in s:
-                if key not in _SAMPLE_KEYS:
-                    raise ManifestError(f"{where} unknown key {key!r}")
+        _known_keys(s, _SAMPLE_KEYS, where)
+        placements = s["placements"]
+        if type(placements) is not list:
+            raise ManifestError(f"{where} placements must be a list")
         try:
             occupied = 0
-            for doc_id, start, end, offset in s["placements"]:
+            for doc_id, start, end, offset in placements:
                 if type(doc_id) is not str or not (type(start) is type(end) is type(offset) is int):
                     row = json.dumps([doc_id, start, end, offset])
                     raise ManifestError(f"{where} placement {row} is not [str, int, int, int]")
@@ -163,9 +168,7 @@ def _manifest(payload, samples: Iterable) -> PackingManifest:
     found = payload.get("format") if isinstance(payload, dict) else None
     if found != MANIFEST_FORMAT:
         raise ManifestError(f"unsupported manifest format: {found!r}")
-    for key in payload:
-        if key not in _KEYS:
-            raise ManifestError(f"malformed manifest: unknown key {key!r}")
+    _known_keys(payload, _KEYS, "malformed manifest:")
     try:
         cfg = PackingConfig(**payload["config"])
         docs = payload["documents"]
@@ -177,11 +180,13 @@ def _manifest(payload, samples: Iterable) -> PackingManifest:
             _number(docs, "total_tokens", int, "documents."),
             tuple(dropped),
         )
+        _known_keys(docs, _DOCUMENT_KEYS, "malformed manifest: documents:")
         plan = _read_samples(samples, cfg.context_length)
         m = payload["metrics"]
         metrics = PackingMetrics(
             **{name: _number(m, name, kind, "metrics.") for name, kind in _METRIC_TYPES.items()}
         )
+        _known_keys(m, _METRIC_KEYS, "malformed manifest: metrics:")
         discarded = _number(payload, "discarded_tail_tokens", int, "")
         return PackingManifest(cfg, summary, plan, metrics, discarded)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
@@ -189,10 +194,12 @@ def _manifest(payload, samples: Iterable) -> PackingManifest:
 
 
 def _taken(payload: dict):
-    """``payload["samples"]`` in order, each let go of once the reader has
-    it in the table, so the parsed samples and the table are never both
-    whole."""
+    """``payload["samples"]``, a list, in order, each let go of once the
+    reader has it in the table, so the parsed samples and the table are
+    never both whole."""
     rows = payload["samples"]
+    if type(rows) is not list:
+        raise ManifestError("malformed manifest: samples must be a list")
     for index, row in enumerate(rows):
         yield row
         rows[index] = None

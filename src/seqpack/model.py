@@ -248,12 +248,10 @@ class PlanTable:
         for n, m in zip(_counts(self.first), _counts(self.sep_first)):
             yield list(islice(rows, n)), list(islice(separators, m))
 
-    def occupied_tokens(self, lo: int = 0, hi: int | None = None) -> int:
-        """The tokens samples ``[lo, hi)`` (all by default) hold: their
-        placed tokens plus their separators."""
-        hi = len(self) if hi is None else hi
-        a, b = self.first[lo], self.first[hi]
-        return sum(self.end[a:b]) - sum(self.start[a:b]) + self.sep_first[hi] - self.sep_first[lo]
+    def occupied_tokens(self) -> int:
+        """The tokens the plan's samples hold: their placed tokens plus
+        their separators."""
+        return sum(self.end) - sum(self.start) + len(self.separators)
 
     def __len__(self) -> int:
         return len(self.first) - 1

@@ -169,7 +169,11 @@ def verify_manifest(
 
         covered, problems = _sample_layout(i, rows, separators, ids, L)
         v.extend(problems)
-        for k, start, end, _ in rows:
+        # separators: a last token before L is followed by one, a cts one at L
+        # has it at 0 of the next sample (an unknown document has no last token)
+        want = {} if carried is None else {0: carried}
+        carried = None
+        for k, start, end, offset in rows:
             n = length_of[k]
             if n is None:
                 v.append(Violation(i, ids[k], "unknown doc_id"))
@@ -180,6 +184,11 @@ def verify_manifest(
                 kept_sample.append(i)
                 kept_start.append(start)
                 kept_end.append(end)
+                if end == n and cfg.sep_after_every_doc:
+                    if offset + end - start < L:
+                        want[offset + end - start] = ids[k]
+                    elif strategy is Strategy.CONCAT_THEN_SPLIT:
+                        carried = ids[k]
 
         # the fragmenting strategies fill every sample they keep, bar a
         # final sample kept by --no-final-drop
@@ -191,15 +200,6 @@ def verify_manifest(
             if offset != 0 or start != 0:
                 v.append(Violation(i, ids[k], "sample must start with a document head"))
 
-        # separators: a last token before L is followed by one, a cts one at L
-        # has it at 0 of the next sample (an unknown document has no last token)
-        want = {} if carried is None else {0: carried}
-        carried = None
-        for k, start, end, offset in rows if cfg.sep_after_every_doc else ():
-            if end == length_of[k] and offset + end - start < L:
-                want[offset + end - start] = ids[k]
-            elif end == length_of[k] and strategy is Strategy.CONCAT_THEN_SPLIT:
-                carried = ids[k]
         seps = set(separators)
         for at, doc_id in want.items():
             if at not in seps:

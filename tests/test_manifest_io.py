@@ -182,11 +182,19 @@ def test_rejects_malformed_sample_fields(toy_docs, edit):
     [
         (lambda p: p.update(extra=1), "unknown key 'extra'"),
         (lambda p: p["samples"][1].update(extra=1), "sample 1: unknown key 'extra'"),
+        (lambda p: p["documents"].update(extra=1), "documents: unknown key 'extra'"),
+        (lambda p: p["metrics"].update(extra=1), "metrics: unknown key 'extra'"),
     ],
-    ids=["top_level", "in_a_sample"],
+    ids=["top_level", "in_a_sample", "in_documents", "in_metrics"],
 )
 def test_rejects_unknown_keys(toy_docs, edit, message):
     manifest = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
+    _assert_refused(manifest, edit, message)
+
+
+def _assert_refused(manifest, edit, message):
+    """``manifest``'s JSON, edited by ``edit``, is refused with ``message``
+    in the writer's layout and in ``json.dumps``' default one."""
     payload = json.loads(manifest_to_json(manifest))
     edit(payload)
     # in the writer's layout the streamed read refuses it, and the whole-text
@@ -196,6 +204,23 @@ def test_rejects_unknown_keys(toy_docs, edit, message):
     for layout in (text, json.dumps(payload)):
         with pytest.raises(ManifestError, match=re.escape(f"malformed manifest: {message}")):
             manifest_from_json(layout)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(samples={}), "samples must be a list"),
+        (lambda p: p["samples"][2].update(placements={}), "sample 2: placements must be a list"),
+    ],
+    ids=["samples", "placements"],
+)
+def test_rejects_samples_or_placements_that_are_not_lists(edit, message):
+    # A=4, B=5 at L=5 keeps a last sample that holds only B's separator, so
+    # an object in place of its empty placements would read as []
+    docs = docs_from_lengths([4, 5])
+    manifest = pack_corpus(docs, make_config(Strategy.CONCAT_THEN_SPLIT, drop_final_partial=False))
+    assert manifest.samples[2] == PackedSample((), (0,))
+    _assert_refused(manifest, edit, message)
 
 
 @st.composite

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqpack import (
     ConfigError,
     CorpusError,
     DocumentRecord,
+    LongDocPolicy,
     Strategy,
     compare_strategies,
     pack_corpus,
@@ -89,6 +93,45 @@ def test_compare_strategies_base_strategy_irrelevant(toy_docs):
     a = compare_strategies(toy_docs, make_config(Strategy.CONCAT_THEN_SPLIT), ALL_STRATEGIES)
     b = compare_strategies(toy_docs, make_config(Strategy.BEST_FIT), ALL_STRATEGIES)
     assert a == b
+
+
+@st.composite
+def _compare_cases(draw):
+    """A small corpus with over-length documents, a template config under
+    any policy and flag setting (online best_fit included), and the
+    strategies to compare, in any order."""
+    L = draw(st.integers(2, 10))
+    policy = draw(st.sampled_from(LongDocPolicy))
+    online = draw(st.booleans())
+    cfg = make_config(
+        Strategy.BEST_FIT if online else draw(st.sampled_from(ALL_STRATEGIES)),
+        context_length=L,
+        long_doc_policy=policy,
+        slide_overlap=draw(st.integers(1, L - 1)) if policy is LongDocPolicy.SLIDE else None,
+        sep_after_every_doc=draw(st.booleans()),
+        drop_final_partial=draw(st.booleans()),
+        online=online,
+    )
+    docs = docs_from_lengths(draw(st.lists(st.integers(1, 3 * L), max_size=15)))
+    strategies = draw(st.permutations(ALL_STRATEGIES))
+    return docs, cfg, strategies
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compare_cases())
+# online best_fit opens a third sample here, offline best_fit needs two
+@example((
+    docs_from_lengths([1, 1, 8, 8]),
+    make_config(Strategy.BEST_FIT, context_length=9, sep_after_every_doc=False, online=True),
+    ALL_STRATEGIES,
+))
+def test_compare_rows_are_pack_corpus_metrics(case):
+    docs, cfg, strategies = case
+    rows = compare_strategies(docs, cfg, strategies).rows
+    assert [strategy for strategy, _ in rows] == list(strategies)
+    for strategy, metrics in rows:
+        online = cfg.online and strategy is Strategy.BEST_FIT
+        assert metrics == pack_corpus(docs, replace(cfg, strategy=strategy, online=online)).metrics
 
 
 def test_compare_render_formatting(toy_docs):
