@@ -18,7 +18,6 @@ checksum is order-dependent, so any reordering or corruption shows up.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 import sys
 from array import array
@@ -76,6 +75,8 @@ def emit_samples(
     synthesized from the config.  Separator tokens contribute to the
     loss by default (``mask_separators`` flips their mask bits to 0).
     """
+    import hashlib  # here, not at the top: it maps OpenSSL (~3.6 MB RSS) into every command
+
     cfg = manifest.config
     L = cfg.context_length
     digest = hashlib.sha256()
@@ -165,6 +166,8 @@ def decode_samples(
     a sample whose bytes differ (naming the first plane that does) and
     (given one) checksum mismatch.
     """
+    import hashlib  # here, not at the top: it maps OpenSSL (~3.6 MB RSS) into every command
+
     digest = hashlib.sha256()
 
     def read(size: int, what: str) -> bytes:

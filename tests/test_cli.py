@@ -792,12 +792,16 @@ def test_module_entry_point_runs():
 
 
 _NO_NUMPY_PROBE = """
+import contextlib
+import io
 import sys
 
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 
 import seqpack.cli
 
+# only emit hashes: OpenSSL, which hashlib maps, would add ~3.6 MB to every command
+assert "_hashlib" not in sys.modules, "import"
 corpus, manifest, out = sys.argv[1:]
 commands = {
     "pack": ["pack", "--context-length", "5", "--strategy", "pld", corpus, "--out", manifest],
@@ -807,12 +811,22 @@ commands = {
     "emit": ["emit", corpus, "--manifest", manifest, "--out", out, "--decode-check"],
 }
 for name, argv in commands.items():
-    assert seqpack.cli.main(argv) == 0, name
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert seqpack.cli.main(argv) == 0, name
+    assert name == "emit" or "_hashlib" not in sys.modules, name
+
+import hashlib
+
+with open(out, "rb") as fh:
+    want = hashlib.sha256(fh.read()).hexdigest()
+assert f"checksum=sha256:{want}" in printed.getvalue().split(), printed.getvalue()
 """
 
 
 def test_no_command_needs_numpy(tmp_path):
-    # the suite has numpy loaded already, so ask a fresh interpreter
+    # the suite has numpy and hashlib loaded already, so ask a fresh
+    # interpreter; it also checks that only emit loads hashlib
     import subprocess
     import sys
 
