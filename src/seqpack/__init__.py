@@ -33,7 +33,6 @@ from .model import (
     EmitError,
     LongDocPolicy,
     ManifestError,
-    PackedSample,
     PackingConfig,
     PackingError,
     PackingManifest,
@@ -61,7 +60,6 @@ __all__ = [
     "InMemoryTokenStore",
     "LongDocPolicy",
     "ManifestError",
-    "PackedSample",
     "PackingConfig",
     "PackingError",
     "PackingManifest",

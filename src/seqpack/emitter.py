@@ -87,7 +87,7 @@ def emit_samples(
 
     plan = manifest.samples
     out(_HEADER.pack(MAGIC, VERSION, _PLANE_FLAGS, L, len(plan)))
-    for i, (rows, separators) in enumerate(plan.iter_samples()):
+    for i, (rows, separators) in enumerate(plan):
         out(_render(i, rows, separators, plan.ids, token_store, cfg, mask_separators))
     return EmitSummary(len(plan), len(plan) * L, digest.hexdigest())
 
@@ -102,7 +102,7 @@ def _render(
     mask_separators: bool,
 ) -> bytes:
     """Sample ``i``'s token, mask and boundary planes, from its rows and
-    separators as ``PlanTable.iter_samples`` gives them; ``EmitError``
+    separators as iterating a ``PlanTable`` gives them; ``EmitError``
     names the sample if its layout breaks the rule or a store lookup fails."""
     L = cfg.context_length
     occupied, problems = _sample_layout(i, rows, separators, ids, L)
@@ -195,7 +195,7 @@ def decode_samples(
         )
 
     zero_mask = 0
-    for i, (rows, separators) in enumerate(plan.iter_samples()):
+    for i, (rows, separators) in enumerate(plan):
         try:
             want = _render(i, rows, separators, plan.ids, token_store, cfg, mask_separators)
         except EmitError as exc:

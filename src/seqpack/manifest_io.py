@@ -60,7 +60,7 @@ def _json_pieces(manifest: PackingManifest):
     yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"samples":['
     ids = manifest.samples.ids
     comma = ""
-    for index, (rows, separators) in enumerate(manifest.samples.iter_samples()):
+    for index, (rows, separators) in enumerate(manifest.samples):
         try:
             placements = ",".join([
                 f"[{_encode_str(ids[k])},{start},{end},{offset}]" for k, start, end, offset in rows

@@ -2,8 +2,9 @@
 
 A corpus of tokenized documents is arranged into training samples of
 exactly ``context_length`` tokens.  Everything downstream (strategies,
-metrics, verification, emission) is built from the small immutable
-types defined here, so a packing plan can be shared, serialized, and
+metrics, verification, emission) is built from the types defined here:
+small immutable records, and one ``PlanTable`` whose samples every layer
+walks by iterating it, so a packing plan can be shared, serialized, and
 re-checked without touching token content.
 """
 
@@ -13,7 +14,8 @@ import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
+from typing import NamedTuple
 
 __all__ = [
     "PackingError",
@@ -26,7 +28,6 @@ __all__ = [
     "LongDocPolicy",
     "DocumentRecord",
     "PackingConfig",
-    "PackedSample",
     "PlanTable",
     "CorpusSummary",
     "PackingMetrics",
@@ -176,32 +177,38 @@ def effective_length(length: int, cfg: PackingConfig) -> int:
     return length
 
 
-# one placement is its manifest row (doc_id, start, end, offset): the
-# half-open token interval [start, end) of the document, which begins at
-# ``offset`` in its sample
-_Placement = tuple[str, int, int, int]
+class _Sample(NamedTuple):
+    """One sample as a plan walk gives it: its placement rows, each
+    ``(document index, start, end, offset)`` placing the half-open token
+    range ``[start, end)`` of document ``ids[index]`` at ``offset`` in the
+    sample, in manifest order; and its separator positions."""
 
-
-@dataclass(frozen=True, slots=True)
-class PackedSample:
-    """One fixed-length training sample: its placements, as
-    ``(doc_id, start, end, offset)`` rows in manifest order, and its
-    separator token positions.  A sample's index is its position in the
-    manifest, and its padding is the suffix
-    ``[occupied_tokens, context_length)``.  A ``PlanTable`` builds one on
-    demand as a view of its rows."""
-
-    placements: tuple[_Placement, ...]
-    separator_positions: tuple[int, ...] = ()
-
-    @property
-    def occupied_tokens(self) -> int:
-        return len(self.separator_positions) + sum(end - start for _, start, end, _ in self.placements)
+    placements: list[tuple[int, int, int, int]]
+    separators: list[int]
 
 
 def _counts(prefix: array):
     """The sizes of the ranges a prefix column bounds."""
     return map(operator.sub, prefix[1:], prefix)
+
+
+def _group(keys, n: int) -> tuple[array, array]:
+    """A stable counting sort of ``keys``, each in ``range(n)``: the prefix
+    ``first`` and the positions ``order`` such that
+    ``order[first[k]:first[k + 1]]`` are key ``k``'s positions in ``keys``,
+    ascending."""
+    counts = [0] * n
+    for k in keys:
+        counts[k] += 1
+    first = array("q", [0])
+    first.extend(accumulate(counts))
+    next_row = first[:-1]
+    order = array("q", bytes(8 * len(keys)))
+    for r, k in enumerate(keys):
+        i = next_row[k]
+        next_row[k] = i + 1
+        order[i] = r
+    return first, order
 
 
 class PlanTable:
@@ -211,8 +218,9 @@ class PlanTable:
     end[r])`` at ``offset[r]`` of its sample.  Sample ``i`` owns rows
     ``[first[i], first[i + 1])``, in manifest order, and the separator
     positions ``separators[sep_first[i]:sep_first[i + 1]]``.  Each doc id
-    string is held once, in ``ids``.  As a sequence of samples, ``len``,
-    indexing and iteration give ``PackedSample`` views built on demand.
+    string is held once, in ``ids``.  ``len`` is the sample count, and
+    iterating the table is the one walk of its samples: each comes out as
+    ``(placements, separators)``, its rows and its separator positions.
 
     A builder appends a sample's rows and separators to the columns,
     then calls ``end_sample`` (or ``drop_open_sample`` to discard them).
@@ -240,14 +248,6 @@ class PlanTable:
             del column[self.first[-1]:]
         del self.separators[self.sep_first[-1]:]
 
-    def iter_samples(self):
-        """Each sample in order, as its rows, a list of ``(document index,
-        start, end, offset)`` tuples, and its list of separator positions."""
-        rows = zip(self.doc, self.start, self.end, self.offset)
-        separators = iter(self.separators)
-        for n, m in zip(_counts(self.first), _counts(self.sep_first)):
-            yield list(islice(rows, n)), list(islice(separators, m))
-
     def occupied_tokens(self) -> int:
         """The tokens the plan's samples hold: their placed tokens plus
         their separators."""
@@ -256,26 +256,13 @@ class PlanTable:
     def __len__(self) -> int:
         return len(self.first) - 1
 
-    def __getitem__(self, i: int | slice) -> PackedSample | tuple[PackedSample, ...]:
-        n = len(self)
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(n))))
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("sample index out of range")
-        a, b = self.first[i], self.first[i + 1]
-        rows = zip(map(self.ids.__getitem__, self.doc[a:b]), self.start[a:b], self.end[a:b], self.offset[a:b])
-        return PackedSample(tuple(rows), tuple(self.separators[self.sep_first[i]:self.sep_first[i + 1]]))
-
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        rows = zip(self.doc, self.start, self.end, self.offset)
+        separators = iter(self.separators)
+        for n, m in zip(_counts(self.first), _counts(self.sep_first)):
+            yield _Sample(list(islice(rows, n)), list(islice(separators, m)))
 
     def __eq__(self, other: object) -> bool:
-        # equal to a plan or a tuple holding the same samples
-        if isinstance(other, tuple):
-            return tuple(self) == other
         if not isinstance(other, PlanTable):
             return NotImplemented
         return (

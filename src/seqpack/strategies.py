@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from itertools import accumulate, pairwise
+from itertools import pairwise
 
 from .longdoc import apply_policy
 from .metrics import compute_metrics
@@ -31,6 +31,7 @@ from .model import (
     PlanTable,
     Strategy,
     _counts,
+    _group,
     effective_length,
 )
 from .verify import _MAX_PLACEMENTS
@@ -152,9 +153,8 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     live: list[int] = []
     open_at: dict[int, list[int]] = {}
     fills: list[int] = []
-    # per document in processing order: its sample and its offset there
+    # per document in processing order: its sample
     sample_of = array("q")
-    offset_of = array("q")
     for k in order:
         eff = effs[k]
         j = bisect_left(live, eff)
@@ -167,10 +167,8 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
         else:
             sample_id = len(fills)
             fills.append(0)
-        pos = fills[sample_id]
         sample_of.append(sample_id)
-        offset_of.append(pos)
-        fill = pos + eff
+        fill = fills[sample_id] + eff
         fills[sample_id] = fill
         if fill < L:
             residual = L - fill
@@ -183,24 +181,19 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
 
     # group the rows by sample with one stable counting sort, so each
     # sample keeps its rows in placement order
-    counts = [0] * len(fills)
-    for sample_id in sample_of:
-        counts[sample_id] += 1
     plan = PlanTable(ids)
-    plan.first.extend(accumulate(counts))
-    zeros = bytes(8 * len(sample_of))
-    plan.doc, plan.start, plan.offset = array("q", zeros), array("q", zeros), array("q", zeros)
-    next_row = plan.first[:-1]
-    for k, sample_id, pos in zip(order, sample_of, offset_of):
-        r = next_row[sample_id]
-        next_row[sample_id] = r + 1
-        plan.doc[r] = k
-        plan.offset[r] = pos
+    plan.first, by_sample = _group(sample_of, len(fills))
+    plan.doc = array("q", map(order.__getitem__, by_sample))
+    plan.start = array("q", bytes(8 * len(by_sample)))
     plan.end = array("q", map(lengths.__getitem__, plan.doc))
+    # a sample's rows lie back to back, each taking its effective length
     for a, b in pairwise(plan.first):
-        for k, pos in zip(plan.doc[a:b], plan.offset[a:b]):
+        pos = 0
+        for k in plan.doc[a:b]:
+            plan.offset.append(pos)
             if effs[k] > lengths[k]:
                 plan.separators.append(pos + lengths[k])
+            pos += effs[k]
         plan.sep_first.append(len(plan.separators))
     return plan, 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Sequence
 
 from .longdoc import apply_policy
@@ -22,6 +22,7 @@ from .model import (
     PackingManifest,
     PackingMetrics,
     Strategy,
+    _group,
     effective_length,
 )
 
@@ -70,8 +71,8 @@ def _sample_layout(
     ``[0, L)``, separators inside ``[0, L)``, all tiling ``[0, covered)``
     exactly, and no more placements than the sample format's boundary
     plane holds.  On a sound layout ``covered`` is the sample's occupancy.
-    ``rows`` and ``separators`` are the sample's as
-    ``PlanTable.iter_samples`` gives them; ``ids`` names the documents."""
+    ``rows`` and ``separators`` are the sample's as iterating a
+    ``PlanTable`` gives them; ``ids`` names the documents."""
     problems: list[tuple[str | None, str]] = []
     count = len(rows)
     if count > _MAX_PLACEMENTS:
@@ -160,7 +161,7 @@ def verify_manifest(
     misplaced: list[Violation] = []  # separator rule violations
     carried = None  # a cts document whose separator opens the next sample
     last = len(plan) - 1
-    for i, (rows, separators) in enumerate(plan.iter_samples()):
+    for i, (rows, separators) in enumerate(plan):
         # a head-rule sample starts with a placement; a concat_then_split one
         # may hold only a separator (the kept tail of a k*L + 1 token stream)
         if not rows and (strategy in _HEAD_RULE or not separators):
@@ -209,16 +210,7 @@ def verify_manifest(
 
     # group the kept placements by document with one stable counting sort:
     # by_doc[group[k]:group[k + 1]] are document k's, in manifest order
-    counts = [0] * len(ids)
-    for k in kept_doc:
-        counts[k] += 1
-    group = array("q", [0])
-    group.extend(accumulate(counts))
-    next_row = group[:-1]
-    by_doc = array("q", bytes(8 * len(kept_doc)))
-    for r, k in enumerate(kept_doc):
-        by_doc[next_row[k]] = r
-        next_row[k] += 1
+    group, by_doc = _group(kept_doc, len(ids))
 
     # each document in the order of its first kept placement
     placed = bytearray(len(ids))

@@ -42,7 +42,7 @@ from seqpack.cli import main
 from seqpack.longdoc import apply_policy
 
 from oracle import brute_force_min_bins, simulate_reference
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, write_token_corpus
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, samples_of, write_token_corpus
 
 _POLICIES = (LongDocPolicy.SPLIT, LongDocPolicy.SLIDE, LongDocPolicy.DROP)
 
@@ -254,7 +254,7 @@ def test_emit_decode_round_trip_sweep(announce):
         where = f"trial {trial} {strategy.value} {policy.value} L={L}"
         if result.zero_mask_tokens != manifest.metrics.padding_token_count:
             failures.append(f"{where}: mask/padding disagree")
-        placed = {doc_id for sample in manifest.samples for doc_id, *_ in sample.placements}
+        placed = {doc_id for placements, _ in samples_of(manifest.samples) for doc_id, *_ in placements}
         if placed != {d.doc_id for d in retained}:
             failures.append(f"{where}: document set mismatch")
         if not verify_manifest(manifest, raw).ok:

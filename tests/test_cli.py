@@ -16,7 +16,6 @@ from seqpack import (
     DecodeError,
     EmitError,
     ManifestError,
-    PackedSample,
     PackingConfig,
     PackingError,
     Strategy,
@@ -236,7 +235,7 @@ def test_verify_ok_and_tampered(tmp_path, capsys):
 
 def test_verify_rejects_a_missing_separator(tmp_path, capsys):
     # d0 and d1 with no separator between them would train as one document
-    sample = PackedSample((("d0", 0, 2, 0), ("d1", 0, 2, 2), ("d2", 0, 2, 5)), (4, 7))
+    sample = ((("d0", 0, 2, 0), ("d1", 0, 2, 2), ("d2", 0, 2, 5)), (4, 7))
     manifest, _ = separator_mutant(Strategy.BEST_FIT, True, {"d0": 2, "d1": 2, "d2": 2}, 8, (sample,))
     corpus = write_lengths_corpus(tmp_path, [2, 2, 2])
     out = tmp_path / "m.json"

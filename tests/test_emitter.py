@@ -28,11 +28,10 @@ from seqpack import (
 from seqpack.emitter import MAGIC, VERSION
 from seqpack.longdoc import apply_policy
 from seqpack.manifest_io import write_bytes_atomic
-from seqpack.model import PackedSample
 
 from util import (
     ALL_STRATEGIES, docs_from_lengths, make_config, plan_table, random_lengths, replace_row,
-    write_token_corpus,
+    samples_of, write_token_corpus,
 )
 
 HEADER = struct.Struct("<4sHHIQ")
@@ -120,7 +119,7 @@ def test_decode_rejects_token_that_differs_from_store(toy_docs):
     # concat places B's first token at the end of sample 0 (offset 4) and
     # the rest at the head of sample 1; flip that first token
     m = pack_corpus(toy_docs, make_config(Strategy.CONCAT_THEN_SPLIT))
-    assert m.samples[0].placements[-1] == ("B", 0, 1, 4)
+    assert samples_of(m.samples)[0][0][-1] == ("B", 0, 1, 4)
     blob, _ = _emit(m)
     i = HEADER.size + 4 * 4
     tampered = blob[:i] + bytes([blob[i] ^ 1]) + blob[i + 1 :]
@@ -250,8 +249,9 @@ def test_decode_checks_placement_before_use(toy_docs, change, message):
     # tokens at offset 0) was edited: no numpy error, only DecodeError
     m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
-    first = replace_row(m.samples[0].placements[0], **change)
-    bad = replace(m, samples=plan_table((replace(m.samples[0], placements=(first,)),) + m.samples[1:]))
+    (placements, separators), *rest = samples_of(m.samples)
+    first = replace_row(placements[0], **change)
+    bad = replace(m, samples=plan_table([((first,), separators), *rest]))
     with pytest.raises(DecodeError, match=message):
         decode_samples(io.BytesIO(blob), bad, _toy_store(), summary.checksum)
 
@@ -273,7 +273,9 @@ def _file_store_plan(tmp_path):
     corpus_path, _ = write_token_corpus(tmp_path, [3, 4, 2], random.Random(8))
     docs = ingest_corpus(corpus_path, mode="full")
     m = pack_corpus(docs, make_config(Strategy.PAD_LAST_DOCUMENT))
-    assert [[doc_id for doc_id, *_ in s.placements] for s in m.samples] == [["d0"], ["d1"], ["d2"]]
+    assert [[doc_id for doc_id, *_ in placements] for placements, _ in samples_of(m.samples)] == [
+        ["d0"], ["d1"], ["d2"]
+    ]
     return docs, m
 
 
@@ -338,7 +340,8 @@ def test_emit_rejects_boundary_overflow(toy_docs):
     m = pack_corpus(toy_docs, make_config(Strategy.PAD_LAST_DOCUMENT))
     # graft 65536 single-token placements onto one sample
     many = (("A", 0, 1, 0),) * 65536
-    bad = replace(m, samples=plan_table((replace(m.samples[0], placements=many),) + m.samples[1:]))
+    (_, separators), *rest = samples_of(m.samples)
+    bad = replace(m, samples=plan_table([(many, separators), *rest]))
     with pytest.raises(EmitError, match="boundary plane holds at most"):
         emit_samples(bad, _toy_store(), io.BytesIO())
 
@@ -366,7 +369,7 @@ def test_emit_and_decode_check_sample_layout(toy_docs, placements, separators, m
     # emit writes nothing of it, and decode refuses it before reading a plane
     m = pack_corpus(toy_docs[:2], make_config(Strategy.PAD_LAST_DOCUMENT))
     blob, summary = _emit(m)
-    bad = replace(m, samples=plan_table((PackedSample(placements, separators),) + m.samples[1:]))
+    bad = replace(m, samples=plan_table([(placements, separators), *samples_of(m.samples)[1:]]))
     sink = io.BytesIO()
     with pytest.raises(EmitError, match=rf"^sample 0\b.*{message}"):
         emit_samples(bad, _toy_store(), sink)
@@ -395,7 +398,7 @@ def test_random_round_trips_across_strategies():
         result = decode_samples(
             io.BytesIO(sink.getvalue()), m, store, summary.checksum, mask_separators=masked
         )
-        separators = sum(len(s.separator_positions) for s in m.samples)
+        separators = sum(len(s.separators) for s in m.samples)
         assert result.zero_mask_tokens == m.metrics.padding_token_count + (separators if masked else 0)
 
 

@@ -25,7 +25,6 @@ from seqpack import (
     InMemoryTokenStore,
     LongDocPolicy,
     ManifestError,
-    PackedSample,
     PackingConfig,
     PackingError,
     PackingManifest,
@@ -48,7 +47,7 @@ from seqpack.manifest_io import (
     write_manifest,
 )
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, plan_table
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, plan_table, samples_of
 
 
 def test_round_trip_preserves_manifest(toy_docs):
@@ -219,7 +218,7 @@ def test_rejects_samples_or_placements_that_are_not_lists(edit, message):
     # an object in place of its empty placements would read as []
     docs = docs_from_lengths([4, 5])
     manifest = pack_corpus(docs, make_config(Strategy.CONCAT_THEN_SPLIT, drop_final_partial=False))
-    assert manifest.samples[2] == PackedSample((), (0,))
+    assert samples_of(manifest.samples)[2] == ((), (0,))
     _assert_refused(manifest, edit, message)
 
 
@@ -421,12 +420,12 @@ def _reference_json(manifest) -> str:
 
     L = manifest.config.context_length
     samples = []
-    for i, s in enumerate(manifest.samples):
-        occupied = len(s.separator_positions) + sum(end - start for _, start, end, _ in s.placements)
+    for i, (placements, separators) in enumerate(samples_of(manifest.samples)):
+        occupied = len(separators) + sum(end - start for _, start, end, _ in placements)
         samples.append({
             "index": i,
-            "placements": [list(row) for row in s.placements],
-            "separators": list(s.separator_positions),
+            "placements": [list(row) for row in placements],
+            "separators": list(separators),
             "padding": [occupied, L] if occupied < L else None,
         })
     payload = {
@@ -472,8 +471,7 @@ def _manifests(draw):
         lambda doc_id, start, n, offset: (doc_id, start, start + n, offset),
         _DOC_ID, _INT, st.integers(0, 30), _INT,
     )
-    sample = st.builds(
-        PackedSample,
+    sample = st.tuples(
         st.lists(placement, max_size=4).map(tuple),
         st.lists(_INT, max_size=4).map(tuple),
     )
@@ -496,8 +494,8 @@ def _toy_manifest(*samples) -> PackingManifest:
     )
 
 
-_FULL = PackedSample((('a"\\\ud800', 0, 4, 0), ("\U0001f600", 0, 3, 5)), (4,))
-_PADDED = PackedSample((("\x00\u00e9", 2, 5, 0),))
+_FULL = ((('a"\\\ud800', 0, 4, 0), ("\U0001f600", 0, 3, 5)), (4,))
+_PADDED = ((("\x00\u00e9", 2, 5, 0),), ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,7 +534,7 @@ def test_write_refuses_a_doc_id_the_reader_rejects(tmp_path, docs, message):
 
 def test_write_memory_does_not_grow_with_the_manifest(tmp_path):
     # 3000 samples of ~1.6 KB: a ~5 MB file from a plan that shares its rows
-    row = PackedSample(tuple((f"{k}" * 400, 0, 1, k) for k in range(4)), (1, 2))
+    row = (tuple((f"{k}" * 400, 0, 1, k) for k in range(4)), (1, 2))
     manifest = _toy_manifest(*[row] * 3000)
     path = tmp_path / "manifest.json"
     tracemalloc.start()

@@ -43,7 +43,9 @@ def test_counter_consistency():
     for strategy in ALL_STRATEGIES:
         m = pack_corpus(docs, make_config(strategy, context_length=10))
         assert m.metrics.total_training_tokens == m.metrics.sample_count * 10
-        got_pad = sum(10 - s.occupied_tokens for s in m.samples)
+        got_pad = sum(
+            10 - len(separators) - sum(end - start for _, start, end, _ in rows) for rows, separators in m.samples
+        )
         assert m.metrics.padding_token_count == got_pad
 
 

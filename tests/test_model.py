@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from seqpack import (
@@ -8,8 +10,10 @@ from seqpack import (
     PackingConfig,
     Strategy,
     effective_length,
+    pack_corpus,
 )
-from seqpack.model import PackedSample
+
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, plan_table, random_lengths, samples_of
 
 
 def _cfg(**kw):
@@ -98,10 +102,39 @@ def test_effective_length_rule():
     assert effective_length(8, no_sep) == 8
 
 
-def test_placement_and_sample_accessors():
-    p = ("d", 2, 6, 1)
-    s = PackedSample((p,), (5,))
-    assert s.occupied_tokens == 5
-    bare = PackedSample((p,))
-    assert bare.occupied_tokens == 4
-    assert bare.separator_positions == ()
+def test_plan_occupancy_is_placed_tokens_plus_separators():
+    # d[2, 6) at offset 1, once followed by a separator and once bare
+    plan = plan_table([((("d", 2, 6, 1),), (5,)), ((("d", 2, 6, 1),), ())])
+    assert plan.occupied_tokens() == 5 + 4
+    assert plan_table([]).occupied_tokens() == 0
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+def test_iterating_a_plan_walks_its_rows_by_sample(strategy):
+    rng = random.Random(26)
+    for _ in range(30):
+        L = rng.randint(2, 24)
+        cfg = make_config(
+            strategy,
+            context_length=L,
+            sep_after_every_doc=rng.random() < 0.5,
+            drop_final_partial=rng.random() < 0.5,
+        )
+        plan = pack_corpus(docs_from_lengths(random_lengths(rng, rng.randint(0, 30), 2 * L)), cfg).samples
+        rows, separators = [], []
+        for sample in plan:
+            assert sample == (sample.placements, sample.separators)
+            for row in sample.placements:
+                assert len(row) == 4 and all(type(x) is int for x in row)
+                assert 0 <= row[0] < len(plan.ids)  # a document index, not an id
+            assert all(type(x) is int for x in sample.separators)
+            rows += sample.placements
+            separators += sample.separators
+        assert rows == list(zip(plan.doc, plan.start, plan.end, plan.offset))
+        assert separators == list(plan.separators)
+        # what the benchmark's strategies.placements and strategies.samples
+        # counters read from a plan
+        assert sum(len(s.placements) for s in plan) == len(plan.doc)
+        assert len(plan) == len(plan.first) - 1 == sum(1 for _ in plan)
+        assert plan_table(samples_of(plan)) == plan
+        assert plan != ()

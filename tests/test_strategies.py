@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import random
-from itertools import islice
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +15,17 @@ from seqpack import (
 )
 from seqpack.manifest_io import manifest_to_json
 
-from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths
+from util import ALL_STRATEGIES, docs_from_lengths, make_config, random_lengths, samples_of
 
 
 def _spans(sample):
-    return list(sample.placements)
+    return list(sample[0])
+
+
+def _occupied(sample):
+    """A sample's placed tokens plus its separators."""
+    placements, separators = sample
+    return len(separators) + sum(end - start for _, start, end, _ in placements)
 
 
 # --- concat_then_split -------------------------------------------------------
@@ -29,11 +33,12 @@ def _spans(sample):
 def test_concat_toy_layout(toy_docs):
     cfg = make_config(Strategy.CONCAT_THEN_SPLIT)
     m = pack_corpus(toy_docs, cfg)
-    assert len(m.samples) == 2
-    assert _spans(m.samples[0]) == [("A", 0, 3, 0), ("B", 0, 1, 4)]
-    assert m.samples[0].separator_positions == (3,)
-    assert _spans(m.samples[1]) == [("B", 1, 4, 0), ("C", 0, 1, 4)]
-    assert m.samples[1].separator_positions == (3,)
+    samples = samples_of(m.samples)
+    assert len(samples) == 2
+    assert _spans(samples[0]) == [("A", 0, 3, 0), ("B", 0, 1, 4)]
+    assert samples[0][1] == (3,)
+    assert _spans(samples[1]) == [("B", 1, 4, 0), ("C", 0, 1, 4)]
+    assert samples[1][1] == (3,)
     assert m.discarded_tail_tokens == 2
     assert m.metrics.fragmented_doc_count == 2
     assert m.metrics.fragmentation_rate == pytest.approx(2 / 3)
@@ -45,10 +50,10 @@ def test_concat_keep_tail_pads_final_sample(toy_docs):
     m = pack_corpus(toy_docs, cfg)
     assert len(m.samples) == 3
     assert m.discarded_tail_tokens == 0
-    last = m.samples[-1]
+    last = samples_of(m.samples)[-1]
     assert _spans(last) == [("C", 1, 2, 0)]
-    assert last.separator_positions == (1,)
-    assert last.occupied_tokens == 2  # padded from offset 2
+    assert last[1] == (1,)
+    assert _occupied(last) == 2  # padded from offset 2
     assert m.metrics.padding_token_count == 3
     # B and C straddle sample borders; A stays intact
     assert m.metrics.fragmented_doc_count == 2
@@ -59,14 +64,14 @@ def test_concat_without_separators():
     m = pack_corpus(docs_from_lengths([3, 4, 2]), cfg)
     # stream is 9 tokens; L=5 -> one full sample, 4 dropped
     assert len(m.samples) == 1
-    assert m.samples[0].separator_positions == ()
+    assert samples_of(m.samples)[0][1] == ()
     assert m.discarded_tail_tokens == 4
 
 
 def test_concat_handles_long_docs_via_split_policy():
     cfg = make_config(Strategy.CONCAT_THEN_SPLIT, context_length=4)
     m = pack_corpus(docs_from_lengths([11], prefix="big"), cfg)
-    placed = {doc_id for s in m.samples for doc_id, *_ in s.placements}
+    placed = {doc_id for placements, _ in samples_of(m.samples) for doc_id, *_ in placements}
     assert placed <= {"big0#0", "big0#1", "big0#2"}
     # stream: 4+1 + 4+1 + 3+1 = 14 tokens -> three full samples, 2 dropped
     assert m.metrics.sample_count == 3
@@ -78,10 +83,11 @@ def test_concat_handles_long_docs_via_split_policy():
 def test_restart_toy_layout(toy_docs):
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT)
     m = pack_corpus(toy_docs, cfg)
-    assert len(m.samples) == 2
-    assert _spans(m.samples[0]) == [("A", 0, 3, 0), ("B", 0, 1, 4)]
-    assert _spans(m.samples[1]) == [("B", 0, 4, 0)]
-    assert m.samples[1].separator_positions == (4,)
+    samples = samples_of(m.samples)
+    assert len(samples) == 2
+    assert _spans(samples[0]) == [("A", 0, 3, 0), ("B", 0, 1, 4)]
+    assert _spans(samples[1]) == [("B", 0, 4, 0)]
+    assert samples[1][1] == (4,)
     assert m.discarded_tail_tokens == 3  # C and its separator never fill a sample
     assert m.metrics.fragmented_doc_count == 1
     assert m.metrics.fragmentation_rate == pytest.approx(1 / 3)
@@ -93,9 +99,7 @@ def test_restart_elides_separator_when_doc_completes_flush():
     # completes at the boundary with its separator waived, no restart
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, context_length=6)
     m = pack_corpus(docs_from_lengths([1, 4], prefix=""), cfg)
-    assert len(m.samples) == 1
-    assert _spans(m.samples[0]) == [("0", 0, 1, 0), ("1", 0, 4, 2)]
-    assert m.samples[0].separator_positions == (1,)
+    assert samples_of(m.samples) == [((("0", 0, 1, 0), ("1", 0, 4, 2)), (1,))]
     assert m.metrics.fragmented_doc_count == 0
     assert m.metrics.padding_token_count == 0
 
@@ -103,9 +107,10 @@ def test_restart_elides_separator_when_doc_completes_flush():
 def test_restart_exact_fill_with_separator():
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, context_length=5)
     m = pack_corpus(docs_from_lengths([4, 4]), cfg)
-    assert _spans(m.samples[0]) == [("d0", 0, 4, 0)]
-    assert m.samples[0].separator_positions == (4,)
-    assert _spans(m.samples[1]) == [("d1", 0, 4, 0)]
+    samples = samples_of(m.samples)
+    assert _spans(samples[0]) == [("d0", 0, 4, 0)]
+    assert samples[0][1] == (4,)
+    assert _spans(samples[1]) == [("d1", 0, 4, 0)]
     assert m.discarded_tail_tokens == 0
 
 
@@ -114,9 +119,10 @@ def test_restart_partial_prefix_then_full_copy():
     m = pack_corpus(docs_from_lengths([2, 4]), cfg)
     # d0 spans [0,2) with its separator at 2; the two leftover slots take
     # d1[0:2) as a tail fragment; d1 restarts in full in sample 1
-    assert _spans(m.samples[0]) == [("d0", 0, 2, 0), ("d1", 0, 2, 3)]
-    assert _spans(m.samples[1]) == [("d1", 0, 4, 0)]
-    assert m.samples[1].occupied_tokens == 5
+    samples = samples_of(m.samples)
+    assert _spans(samples[0]) == [("d0", 0, 2, 0), ("d1", 0, 2, 3)]
+    assert _spans(samples[1]) == [("d1", 0, 4, 0)]
+    assert _occupied(samples[1]) == 5
     assert m.metrics.fragmented_doc_count == 1
 
 
@@ -127,8 +133,8 @@ def test_restart_never_pads_when_dropping_tail():
         cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, context_length=8)
         m = pack_corpus(docs_from_lengths(lengths), cfg)
         assert m.metrics.padding_token_count == 0
-        for s in m.samples:
-            assert s.occupied_tokens == 8
+        for s in samples_of(m.samples):
+            assert _occupied(s) == 8
 
 
 # --- pad_last_document -------------------------------------------------------
@@ -136,13 +142,14 @@ def test_restart_never_pads_when_dropping_tail():
 def test_pad_toy_layout(toy_docs):
     cfg = make_config(Strategy.PAD_LAST_DOCUMENT)
     m = pack_corpus(toy_docs, cfg)
-    assert len(m.samples) == 3
-    assert _spans(m.samples[0]) == [("A", 0, 3, 0)]
-    assert m.samples[0].occupied_tokens == 4
-    assert _spans(m.samples[1]) == [("B", 0, 4, 0)]
-    assert m.samples[1].occupied_tokens == 5  # doc plus separator fills it
-    assert _spans(m.samples[2]) == [("C", 0, 2, 0)]
-    assert m.samples[2].occupied_tokens == 3
+    samples = samples_of(m.samples)
+    assert len(samples) == 3
+    assert _spans(samples[0]) == [("A", 0, 3, 0)]
+    assert _occupied(samples[0]) == 4
+    assert _spans(samples[1]) == [("B", 0, 4, 0)]
+    assert _occupied(samples[1]) == 5  # doc plus separator fills it
+    assert _spans(samples[2]) == [("C", 0, 2, 0)]
+    assert _occupied(samples[2]) == 3
     assert m.metrics.padding_token_count == 3
     assert m.metrics.padding_rate == pytest.approx(3 / 15)
     assert m.metrics.fragmented_doc_count == 0
@@ -161,16 +168,14 @@ def test_pad_exact_fit_no_padding():
     cfg = make_config(Strategy.PAD_LAST_DOCUMENT, context_length=5)
     m = pack_corpus(docs_from_lengths([4, 4, 4]), cfg)
     assert len(m.samples) == 3
-    assert all(s.occupied_tokens == 5 for s in m.samples)
+    assert all(_occupied(s) == 5 for s in samples_of(m.samples))
     assert m.metrics.padding_token_count == 0
 
 
 def test_pad_doc_filling_whole_sample_elides_separator():
     cfg = make_config(Strategy.PAD_LAST_DOCUMENT, context_length=4)
     m = pack_corpus(docs_from_lengths([4]), cfg)
-    assert len(m.samples) == 1
-    assert _spans(m.samples[0]) == [("d0", 0, 4, 0)]
-    assert m.samples[0].separator_positions == ()
+    assert samples_of(m.samples) == [((("d0", 0, 4, 0),), ())]
     assert m.metrics.padding_token_count == 0
 
 
@@ -181,8 +186,8 @@ def test_pad_never_fragments_property():
         cfg = make_config(Strategy.PAD_LAST_DOCUMENT, context_length=12)
         m = pack_corpus(docs_from_lengths(lengths), cfg)
         assert m.metrics.fragmented_doc_count == 0
-        for s in m.samples:
-            assert s.occupied_tokens <= 12
+        for s in samples_of(m.samples):
+            assert _occupied(s) <= 12
 
 
 # --- the three sequential overflow rules ---------------------------------------
@@ -210,7 +215,7 @@ def test_pad_never_fragments_property():
 def test_separator_after_a_flush_document(strategy, want_samples, want_discarded):
     cfg = make_config(strategy, context_length=4)
     m = pack_corpus([DocumentRecord("a", 4), DocumentRecord("b", 2)], cfg)
-    assert [(_spans(s), s.separator_positions) for s in m.samples] == want_samples
+    assert [(_spans(s), s[1]) for s in samples_of(m.samples)] == want_samples
     assert m.discarded_tail_tokens == want_discarded
 
 
@@ -220,7 +225,7 @@ def test_best_fit_toy_layout(toy_docs):
     cfg = make_config(Strategy.BEST_FIT)
     m = pack_corpus(toy_docs, cfg)
     # decreasing effective length: B(5), A(4), C(3); each opens its own bin
-    assert [_spans(s)[0][0] for s in m.samples] == ["B", "A", "C"]
+    assert [_spans(s)[0][0] for s in samples_of(m.samples)] == ["B", "A", "C"]
     assert len(m.samples) == 3
     assert m.metrics.padding_token_count == 3
     assert m.metrics.fragmented_doc_count == 0
@@ -229,7 +234,7 @@ def test_best_fit_toy_layout(toy_docs):
 def test_best_fit_two_bins_fixture():
     cfg = make_config(Strategy.BEST_FIT, context_length=8, sep_after_every_doc=False)
     m = pack_corpus(docs_from_lengths([5, 4, 3, 3, 1]), cfg)
-    bins = [[doc_id for doc_id, *_ in s.placements] for s in m.samples]
+    bins = [[doc_id for doc_id, *_ in placements] for placements, _ in samples_of(m.samples)]
     assert bins == [["d0", "d2"], ["d1", "d3", "d4"]]
     assert m.metrics.padding_token_count == 0
 
@@ -244,7 +249,7 @@ def test_best_fit_padding_fixture():
 def test_best_fit_ties_broken_by_doc_id():
     cfg = make_config(Strategy.BEST_FIT, context_length=4, sep_after_every_doc=False)
     m = pack_corpus(docs_from_lengths([2, 2, 2, 2]), cfg)
-    bins = [[doc_id for doc_id, *_ in s.placements] for s in m.samples]
+    bins = [[doc_id for doc_id, *_ in placements] for placements, _ in samples_of(m.samples)]
     # equal lengths keep corpus order: d0 with d1, d2 with d3
     assert bins == [["d0", "d1"], ["d2", "d3"]]
 
@@ -253,7 +258,7 @@ def test_best_fit_prefers_tightest_bin():
     cfg = make_config(Strategy.BEST_FIT, context_length=10, sep_after_every_doc=False)
     # after 7 and 6 open bins, the 3 fits both; residual 3 beats residual 4
     m = pack_corpus(docs_from_lengths([7, 6, 3, 2]), cfg)
-    bins = [[doc_id for doc_id, *_ in s.placements] for s in m.samples]
+    bins = [[doc_id for doc_id, *_ in placements] for placements, _ in samples_of(m.samples)]
     assert bins == [["d0", "d2"], ["d1", "d3"]]
 
 
@@ -265,8 +270,8 @@ def test_best_fit_online_keeps_input_order():
     docs = docs_from_lengths([4, 5, 4])
     offline = pack_corpus(docs, offline_cfg)
     online = pack_corpus(docs, online_cfg)
-    assert [doc_id for doc_id, *_ in offline.samples[0].placements] == ["d1"]
-    assert [doc_id for doc_id, *_ in online.samples[0].placements] == ["d0", "d2"]
+    assert [doc_id for doc_id, *_ in samples_of(offline.samples)[0][0]] == ["d1"]
+    assert [doc_id for doc_id, *_ in samples_of(online.samples)[0][0]] == ["d0", "d2"]
     assert offline.metrics.sample_count == online.metrics.sample_count == 2
 
 
@@ -274,7 +279,7 @@ def test_best_fit_full_doc_elides_separator():
     cfg = make_config(Strategy.BEST_FIT, context_length=4)
     m = pack_corpus(docs_from_lengths([4, 2]), cfg)
     assert len(m.samples) == 2
-    assert m.samples[0].separator_positions == ()
+    assert samples_of(m.samples)[0][1] == ()
 
 
 def test_best_fit_matches_naive_quadratic_on_random_corpora():
@@ -318,7 +323,9 @@ def test_best_fit_picks_smallest_sufficient_residual_lowest_id(case):
     L = cfg.context_length
     m = pack_corpus(docs, cfg)
     where = {
-        doc_id: (i, offset) for i, s in enumerate(m.samples) for doc_id, _, _, offset in s.placements
+        doc_id: (i, offset)
+        for i, (placements, _) in enumerate(samples_of(m.samples))
+        for doc_id, _, _, offset in placements
     }
 
     order = docs
@@ -337,7 +344,7 @@ def test_best_fit_picks_smallest_sufficient_residual_lowest_id(case):
         assert offset == L - residuals[sample]
         residuals[sample] -= eff
     assert len(m.samples) == len(residuals)
-    assert [L - s.occupied_tokens for s in m.samples] == residuals
+    assert [L - _occupied(s) for s in samples_of(m.samples)] == residuals
 
 
 # --- metamorphic relations ---------------------------------------------------
@@ -364,8 +371,8 @@ def _presorted_online_plan_is_the_offline_plan(docs, cfg):
 
 
 def _prefix_plan_is_a_prefix(docs, cfg, cut):
-    closed = list(pack_corpus(docs[:cut], cfg).samples)[:-1]
-    assert list(islice(pack_corpus(docs, cfg).samples, len(closed))) == closed
+    closed = samples_of(pack_corpus(docs[:cut], cfg).samples)[:-1]
+    assert samples_of(pack_corpus(docs, cfg).samples)[:len(closed)] == closed
 
 
 @st.composite
@@ -430,9 +437,9 @@ def test_all_strategies_respect_capacity_and_coverage():
         for strategy in ALL_STRATEGIES:
             cfg = make_config(strategy, context_length=12)
             m = pack_corpus(docs, cfg)
-            for s in m.samples:
-                assert s.occupied_tokens <= 12
-                for doc_id, start, end, _ in s.placements:
+            for s in samples_of(m.samples):
+                assert _occupied(s) <= 12
+                for doc_id, start, end, _ in s[0]:
                     assert 0 <= start < end <= lengths[int(doc_id[1:])]
 
 
@@ -440,7 +447,7 @@ def test_pack_corpus_applies_long_doc_policy():
     cfg = make_config(Strategy.BEST_FIT, context_length=4, long_doc_policy=LongDocPolicy.DROP)
     m = pack_corpus(docs_from_lengths([3, 9, 4]), cfg)
     assert m.documents.dropped == ("d1",)
-    placed = {doc_id for s in m.samples for doc_id, *_ in s.placements}
+    placed = {doc_id for placements, _ in samples_of(m.samples) for doc_id, *_ in placements}
     assert placed == {"d0", "d2"}
 
 
@@ -455,7 +462,7 @@ def test_empty_corpus_yields_empty_manifest():
     for strategy in ALL_STRATEGIES:
         cfg = make_config(strategy)
         m = pack_corpus([], cfg)
-        assert m.samples == ()
+        assert samples_of(m.samples) == []
         assert m.metrics.sample_count == 0
         assert m.metrics.fragmentation_rate == 0.0
         assert m.metrics.padding_rate == 0.0

@@ -8,7 +8,6 @@ import pytest
 from seqpack import (
     CorpusSummary,
     LongDocPolicy,
-    PackedSample,
     PackingManifest,
     Strategy,
     pack_corpus,
@@ -24,6 +23,7 @@ from util import (
     plan_table,
     random_lengths,
     replace_row,
+    samples_of,
     separator_mutant,
 )
 
@@ -61,20 +61,20 @@ def test_engine_output_verifies_clean_across_strategies_and_policies():
     [
         # C is replaced by a separator and never trained on
         (Strategy.CONCAT_THEN_SPLIT, True, {"A": 3, "B": 4, "C": 2}, 5,
-         (PackedSample((("A", 0, 3, 0), ("B", 0, 1, 4)), (3,)),
-          PackedSample((("B", 1, 4, 0),), (3, 4))),
+         (((("A", 0, 3, 0), ("B", 0, 1, 4)), (3,)),
+          ((("B", 1, 4, 0),), (3, 4))),
          ["sample 1: separator at 4 does not follow a document's last token"]),
         # A ends flush with the sample: its separator must open the next one
         (Strategy.CONCAT_THEN_SPLIT, True, {"A": 5, "B": 3, "C": 1}, 5,
-         (PackedSample((("A", 0, 5, 0),)), PackedSample((("B", 0, 3, 0), ("C", 0, 1, 4)), (3,))),
+         (((("A", 0, 5, 0),), ()), ((("B", 0, 3, 0), ("C", 0, 1, 4)), (3,))),
          ["sample 1 doc A: no separator after its last token at 0"]),
         # A and B trained as one document
         *[(s, True, {"A": 2, "B": 2, "C": 2}, 8,
-           (PackedSample((("A", 0, 2, 0), ("B", 0, 2, 2), ("C", 0, 2, 5)), (4, 7)),),
+           (((("A", 0, 2, 0), ("B", 0, 2, 2), ("C", 0, 2, 5)), (4, 7)),),
            ["sample 0 doc A: no separator after its last token at 2"])
           for s in (Strategy.BEST_FIT, Strategy.PAD_LAST_DOCUMENT)],
         # the config says there are no separators
-        *[(s, False, {"A": 2, "B": 2}, 8, (PackedSample(pls, seps),),
+        *[(s, False, {"A": 2, "B": 2}, 8, ((pls, seps),),
            [f"sample 0: separator at {seps[0]} does not follow a document's last token"])
           for s in (Strategy.BEST_FIT, Strategy.PAD_LAST_DOCUMENT)
           for pls, seps in [((("A", 0, 2, 0), ("B", 0, 2, 2)), (4,)),
@@ -101,15 +101,18 @@ def test_report_holds_the_retained_records(policy, overlap):
     assert report.retained == tuple(apply_policy(docs, cfg)[0])
 
 
-def _tamper_sample(manifest, sample_idx, **changes):
-    samples = list(manifest.samples)
-    samples[sample_idx] = replace(samples[sample_idx], **changes)
+def _tamper_sample(manifest, sample_idx, placements=None, separators=None):
+    samples = samples_of(manifest.samples)
+    old_placements, old_separators = samples[sample_idx]
+    samples[sample_idx] = (
+        old_placements if placements is None else placements,
+        old_separators if separators is None else separators,
+    )
     return replace(manifest, samples=plan_table(samples))
 
 
 def _tamper_placement(manifest, sample_idx, placement_idx, **changes):
-    sample = manifest.samples[sample_idx]
-    pls = list(sample.placements)
+    pls = list(samples_of(manifest.samples)[sample_idx][0])
     pls[placement_idx] = replace_row(pls[placement_idx], **changes)
     return _tamper_sample(manifest, sample_idx, placements=tuple(pls))
 
@@ -133,7 +136,7 @@ def test_detects_more_placements_than_the_boundary_plane_holds():
     # refuses to write it: build the plan pad_last_document gives by hand
     docs = docs_from_lengths([1] * 70_000)
     cfg = make_config(Strategy.PAD_LAST_DOCUMENT, context_length=200_000)
-    sample = PackedSample(
+    sample = (
         tuple((d.doc_id, 0, 1, 2 * i) for i, d in enumerate(docs)),
         tuple(2 * i + 1 for i in range(len(docs))),
     )
@@ -161,9 +164,9 @@ def test_detects_unknown_doc_id(toy_docs):
 def test_detects_duplicate_coverage(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.BEST_FIT)
     # point sample 2's placement at a doc that is already fully placed
-    sample2 = manifest.samples[2]
-    dup = replace_row(sample2.placements[0], doc_id="A", start=0, end=3)
-    bad = _tamper_sample(manifest, 2, placements=(dup,), separator_positions=(3,))
+    placements2, _ = samples_of(manifest.samples)[2]
+    dup = replace_row(placements2[0], doc_id="A", start=0, end=3)
+    bad = _tamper_sample(manifest, 2, placements=(dup,), separators=(3,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "duplicate coverage" in msgs
     assert "missing from packing" in msgs  # C disappeared
@@ -186,23 +189,18 @@ def test_detects_metrics_mismatch(toy_docs):
 def test_detects_head_rule_violation(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.BEST_FIT)
     # shift sample 1's lone placement off the sample head
-    sample = manifest.samples[1]
-    shifted = replace_row(sample.placements[0], offset=1, start=1)
-    bad = _tamper_sample(manifest, 1, placements=(shifted,), separator_positions=(4,))
+    placements, _ = samples_of(manifest.samples)[1]
+    shifted = replace_row(placements[0], offset=1, start=1)
+    bad = _tamper_sample(manifest, 1, placements=(shifted,), separators=(4,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "must start with a document head" in msgs
 
 
 def test_detects_unexpected_padding_under_zero_padding_strategy(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.CONCAT_THEN_SPLIT)
-    sample = manifest.samples[1]
+    placements, _ = samples_of(manifest.samples)[1]
     # drop the trailing placement and call the space padding
-    bad = _tamper_sample(
-        manifest,
-        1,
-        placements=sample.placements[:1],
-        separator_positions=(3,),
-    )
+    bad = _tamper_sample(manifest, 1, placements=placements[:1], separators=(3,))
     msgs = _messages(verify_manifest(bad, docs))
     assert "unexpected padding under zero-padding strategy" in msgs
 
@@ -213,7 +211,7 @@ def test_detects_unexpected_padding_under_zero_padding_strategy(toy_docs):
 def test_only_a_kept_final_sample_may_pad(toy_docs, strategy):
     # --no-final-drop keeps a padded final sample, not a padded one
     # mid-stream: each document alone with its separator, metrics recomputed
-    samples = plan_table(PackedSample(((d.doc_id, 0, d.length, 0),), (d.length,)) for d in toy_docs)
+    samples = plan_table((((d.doc_id, 0, d.length, 0),), (d.length,)) for d in toy_docs)
     manifest, docs = _pack(toy_docs, strategy, drop_final_partial=False)
     bad = replace(manifest, samples=samples, metrics=compute_metrics(samples, docs, 5))
     assert [str(v) for v in verify_manifest(bad, docs).violations] == [
@@ -246,9 +244,9 @@ def test_detects_gap(toy_docs, separators, extra):
     manifest, docs = _pack(toy_docs, Strategy.RESTART_LAST_DOCUMENT)
     # sample 1 holds B[0,4)+sep; shrink B to [0,3) at offset 0 and move the
     # separator to 4, leaving offset 3 uncovered
-    sample = manifest.samples[1]
-    shrunk = replace_row(sample.placements[0], end=3)
-    bad = _tamper_sample(manifest, 1, placements=(shrunk,), separator_positions=separators)
+    placements, _ = samples_of(manifest.samples)[1]
+    shrunk = replace_row(placements[0], end=3)
+    bad = _tamper_sample(manifest, 1, placements=(shrunk,), separators=separators)
     msgs = _messages(verify_manifest(bad, docs))
     assert "gap in sample at offset 3" in msgs
     assert extra is None or extra in msgs
@@ -269,7 +267,7 @@ def test_detects_gap(toy_docs, separators, extra):
 def test_detects_separator_inside_placement(toy_docs, separators, extra):
     # sample 0 holds A[0,3) at 0, its separator at 3, then B[0,1) at 4
     manifest, docs = _pack(toy_docs, Strategy.CONCAT_THEN_SPLIT)
-    bad = _tamper_sample(manifest, 0, separator_positions=separators)
+    bad = _tamper_sample(manifest, 0, separators=separators)
     msgs = _messages(verify_manifest(bad, docs))
     assert "separator at 1 inside a placement" in msgs
     assert extra is None or extra in msgs
@@ -295,19 +293,19 @@ def test_detects_wrong_dropped_list(dropped):
 
 def test_detects_empty_sample(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.PAD_LAST_DOCUMENT)
-    bad = _tamper_sample(manifest, 0, placements=(), separator_positions=())
+    bad = _tamper_sample(manifest, 0, placements=(), separators=())
     msgs = _messages(verify_manifest(bad, docs))
     assert "sample has no placements" in msgs
 
 
 def test_detects_restart_order_violation():
-    from seqpack.model import CorpusSummary, PackedSample, PackingManifest
+    from seqpack.model import CorpusSummary, PackingManifest
 
     # a manifest claiming the full copy came before the tail fragment
     docs = docs_from_lengths([4])
     cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
-    s0 = PackedSample((("d0", 0, 4, 0),), (4,))
-    s1 = PackedSample((("d0", 0, 2, 0),))
+    s0 = ((("d0", 0, 4, 0),), (4,))
+    s1 = ((("d0", 0, 2, 0),), ())
     plan = plan_table([s0, s1])
     metrics = compute_metrics(plan, docs, 5)
     bad = PackingManifest(cfg, CorpusSummary(1, 4), plan, metrics, 0)
@@ -330,7 +328,7 @@ def test_detects_gap_in_concat_coverage(toy_docs):
 def test_detects_duplicate_concat_coverage(toy_docs):
     manifest, docs = _pack(toy_docs, Strategy.CONCAT_THEN_SPLIT)
     # sample 1 opens with B's continuation [1, 4); cover [0, 3) again instead
-    assert manifest.samples[1].placements[0] == ("B", 1, 4, 0)
+    assert samples_of(manifest.samples)[1][0][0] == ("B", 1, 4, 0)
     bad = _tamper_placement(manifest, 1, 0, start=0, end=3)
     assert [str(v) for v in verify_manifest(bad, docs).violations] == ["doc B: duplicate coverage"]
 
@@ -358,7 +356,7 @@ def test_detects_missing_middle_sample(strategy, message):
     docs = docs_from_lengths([4, 4, 4])
     manifest = pack_corpus(docs, make_config(strategy))
     assert len(manifest.samples) == 3
-    samples = plan_table((manifest.samples[0], manifest.samples[2]))
+    samples = plan_table(samples_of(manifest.samples)[::2])
     metrics = compute_metrics(samples, docs, 5)
     bad = replace(manifest, samples=samples, metrics=metrics)
     assert message in _messages(verify_manifest(bad, docs))
@@ -376,7 +374,7 @@ def test_detects_wrong_discarded_tail(toy_docs, strategy):
 def test_restart_kept_tail_must_place_every_document(toy_docs):
     # with the final sample kept, the dropped-tail suffix must be empty
     manifest, docs = _pack(toy_docs, Strategy.RESTART_LAST_DOCUMENT, drop_final_partial=False)
-    bad = replace(manifest, samples=plan_table(manifest.samples[:-1]))
+    bad = replace(manifest, samples=plan_table(samples_of(manifest.samples)[:-1]))
     bad = replace(bad, metrics=compute_metrics(bad.samples, docs, 5))
     assert [v.doc_id for v in verify_manifest(bad, docs).violations] == ["C"]
 

@@ -34,18 +34,28 @@ def replace_row(row, **changes) -> tuple:
     return tuple(fields.values())
 
 
+def samples_of(plan: PlanTable) -> list[tuple[tuple, tuple]]:
+    """The plan's samples as ``(placements, separators)`` pairs of tuples,
+    each placement a ``(doc_id, start, end, offset)`` row: what a test
+    compares, edits and hands back to ``plan_table``."""
+    return [
+        (tuple((plan.ids[k], start, end, offset) for k, start, end, offset in rows), tuple(separators))
+        for rows, separators in plan
+    ]
+
+
 def plan_table(samples) -> PlanTable:
-    """The placement table holding ``samples``, ``PackedSample`` rows in
-    order: a plan built by hand."""
+    """The placement table holding ``samples``, ``(placements, separators)``
+    pairs as ``samples_of`` gives them: a plan built by hand."""
     plan = PlanTable()
     index_of: dict = {}
-    for sample in samples:
-        for doc_id, start, end, offset in sample.placements:
+    for placements, separators in samples:
+        for doc_id, start, end, offset in placements:
             plan.doc.append(index_of.setdefault(doc_id, len(index_of)))
             plan.start.append(start)
             plan.end.append(end)
             plan.offset.append(offset)
-        plan.separators.extend(sample.separator_positions)
+        plan.separators.extend(separators)
         plan.end_sample()
     plan.ids.extend(index_of)
     return plan
@@ -53,7 +63,7 @@ def plan_table(samples) -> PlanTable:
 
 def separator_mutant(strategy, sep, lengths, context_length, samples):
     """The corpus ``lengths`` (doc_id -> length) and the manifest ``pack_corpus``
-    gives it, with ``samples`` (``PackedSample`` rows) in place of its own
+    gives it, with ``samples`` (``plan_table``'s pairs) in place of its own
     and the metrics recomputed."""
     docs = [DocumentRecord(doc_id, n) for doc_id, n in lengths.items()]
     cfg = make_config(strategy, context_length, sep_after_every_doc=sep)
