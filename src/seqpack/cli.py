@@ -19,9 +19,16 @@ from typing import Iterable
 
 from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
-from .manifest_io import read_manifest, write_bytes_atomic, write_manifest
+from .manifest_io import (
+    _first_sample_difference,
+    _head_config,
+    _is_written_form,
+    read_manifest,
+    write_bytes_atomic,
+    write_manifest,
+)
 from .metrics import compare_strategies
-from .model import ConfigError, EmitError, PackingConfig, PackingError, Strategy
+from .model import ConfigError, EmitError, PackingConfig, PackingError, PackingManifest, Strategy
 from .strategies import pack_corpus
 from .verify import verify_manifest
 
@@ -195,12 +202,48 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _repacked(args: argparse.Namespace) -> tuple[bool, list | None]:
+    """Pack the corpus again with the config in the manifest's head and
+    compare the result with the file's bytes: whether they are equal, and
+    the corpus as read, ``None`` where there is no config to pack with."""
+    cfg = _head_config(args.manifest)
+    if cfg is None:
+        return False, None
+    try:
+        docs = ingest_corpus(args.corpus)
+    except Exception:
+        read_manifest(args.manifest)  # a manifest error comes first, as without the re-pack
+        raise
+    try:
+        return _is_written_form(pack_corpus(docs, cfg), args.manifest), docs
+    except PackingError:  # the structural checks report on this manifest
+        return False, docs
+
+
+def _not_packed(manifest: PackingManifest, docs: list) -> str:
+    """Why a manifest that passes the structural checks is still not the
+    one ``pack`` writes for ``docs``."""
+    try:
+        expected = pack_corpus(docs, manifest.config)
+    except PackingError as exc:
+        return f"pack refuses this corpus with the manifest's config: {exc}"
+    i = _first_sample_difference(manifest, expected)
+    if i is None:
+        return "manifest file is not in the layout pack writes"
+    return f"sample {i} differs from the plan this corpus gives"
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    manifest = read_manifest(args.manifest)
-    problems = verify_manifest(manifest, ingest_corpus(args.corpus)).violations
-    if not problems:
+    # byte identity with what pack writes is the check; the structural
+    # checks only explain a difference
+    same, docs = _repacked(args)
+    if same:
         print("ok")
         return EXIT_OK
+    manifest = read_manifest(args.manifest)
+    if docs is None:
+        docs = ingest_corpus(args.corpus)
+    problems = verify_manifest(manifest, docs).violations or [_not_packed(manifest, docs)]
     for problem in problems:
         print(problem)
     return EXIT_CONFIG

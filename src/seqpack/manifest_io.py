@@ -11,6 +11,7 @@ import json
 import os
 import stat
 from dataclasses import asdict
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, TypeVar, get_type_hints
@@ -85,6 +86,56 @@ def _json_pieces(manifest: PackingManifest):
 
 def manifest_to_json(manifest: PackingManifest) -> str:
     return "".join(_json_pieces(manifest))
+
+
+def _head_config(path: str | Path) -> PackingConfig | None:
+    """The config in the head of the manifest file at ``path``: the text
+    up to its first ``,"samples":[``, read in chunks however long it is.
+    ``None`` where the file is missing or has no such head, or the head
+    does not parse or holds no valid config."""
+    path = Path(path)
+    marker = _SAMPLES_OPEN.encode()
+    head = bytearray()
+    at = -1
+    try:
+        if not path.is_file():  # opening a FIFO would block
+            return None
+        with path.open("rb") as fh:
+            while at < 0:
+                chunk = fh.read(1 << 16)
+                if not chunk:
+                    return None
+                after = max(0, len(head) - len(marker) + 1)  # the marker may straddle chunks
+                head += chunk
+                at = head.find(marker, after)
+        return PackingConfig(**json.loads(head[:at] + b"}")["config"])
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, ConfigError):
+        return None
+
+
+def _is_written_form(manifest: PackingManifest, path: str | Path) -> bool:
+    """Whether the file at ``path`` holds exactly the bytes
+    ``write_manifest(manifest, ...)`` writes, compared one piece at a
+    time, so neither text is ever whole."""
+    try:
+        with open(path, "rb") as fh:
+            for piece in _json_pieces(manifest):
+                data = piece.encode("utf-8")
+                if fh.read(len(data)) != data:
+                    return False
+            return not fh.read(1)
+    except OSError:
+        return False
+
+
+def _first_sample_difference(a: PackingManifest, b: PackingManifest) -> int | None:
+    """The position of the first sample whose JSON differs between two
+    manifests, a sample only one of them has included; ``None`` where
+    every sample agrees, so they differ at most in the head."""
+    for i, (x, y) in enumerate(zip_longest(_json_pieces(a), _json_pieces(b))):
+        if i and x != y:  # piece 0 is the head, piece i + 1 sample i
+            return i - 1
+    return None
 
 
 def _ints(values) -> bool:
