@@ -88,6 +88,7 @@ class LongDocPolicy(str, Enum):
 
 
 _TOKEN_BYTES = 4  # size of one stored token id: an unsigned 32-bit little-endian int
+_MAX_PLACEMENTS = 0xFFFF  # the sample format's uint16 boundary count
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,7 @@ from itertools import pairwise
 from .longdoc import apply_policy
 from .metrics import compute_metrics
 from .model import (
+    _MAX_PLACEMENTS,
     ConfigError,
     CorpusSummary,
     DocumentRecord,
@@ -34,7 +35,6 @@ from .model import (
     _group,
     effective_length,
 )
-from .verify import _MAX_PLACEMENTS
 
 __all__ = ["pack_corpus"]
 
@@ -201,8 +201,8 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
 def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Plan a corpus as read: apply the configured long-document policy,
     pack with the configured strategy, and record any dropped documents
-    on the manifest.  ``verify_manifest`` checks it against the same
-    corpus.
+    on the manifest.  ``verify_manifest`` accepts only this manifest for
+    the same corpus.
 
     This is the only way in to the planners.  The policy runs first, so
     every document a planner sees fits one sample: a concat_then_split
@@ -210,7 +210,11 @@ def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManife
     strategies can always place it.  A sample with more placements than
     the sample format records, which emit would refuse, is a ``ConfigError``.
     """
-    retained, dropped = apply_policy(docs, cfg)
+    return _planned(*apply_policy(docs, cfg), cfg)
+
+
+def _planned(retained: list[DocumentRecord], dropped: tuple, cfg: PackingConfig) -> PackingManifest:
+    """``pack_corpus`` after its policy pass, given the pass's output."""
     planner = _best_fit if cfg.strategy is Strategy.BEST_FIT else _fill_sequential
     plan, discarded = planner(retained, cfg)
     for i, count in enumerate(_counts(plan.first)):

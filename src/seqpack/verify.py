@@ -1,11 +1,12 @@
-"""Structural verification of packing manifests.
+"""Verification of packing manifests.
 
-``verify_manifest`` re-checks every invariant a strategy promises —
-sample capacity, exact tiling, per-document coverage discipline, the
-document-head rule, separators, the discarded tail, and metric counters —
-against the corpus the manifest claims to describe, taken as read and put
-through the manifest's long-document policy.  It reports violations as
-data instead of raising, so a caller can show all of them at once.
+``verify_manifest`` accepts exactly the manifest ``pack_corpus`` gives
+for the corpus and the manifest's config.  A manifest that differs is
+explained by the structural checks, which re-check every invariant a
+strategy promises without planning — sample capacity, exact tiling,
+per-document coverage discipline, the document-head rule, separators,
+the discarded tail, and metric counters.  Violations are data, not
+raised, so a caller can show all of them at once.
 """
 
 from __future__ import annotations
@@ -16,15 +17,19 @@ from itertools import compress
 from typing import Sequence
 
 from .longdoc import apply_policy
+from .manifest_io import _first_sample_difference
 from .metrics import _plan_metrics
 from .model import (
+    _MAX_PLACEMENTS,
     DocumentRecord,
+    PackingError,
     PackingManifest,
     PackingMetrics,
     Strategy,
     _group,
     effective_length,
 )
+from .strategies import _planned
 
 __all__ = ["Violation", "VerificationReport", "verify_manifest"]
 
@@ -34,7 +39,6 @@ _HEAD_RULE = (
     Strategy.PAD_LAST_DOCUMENT,
     Strategy.BEST_FIT,
 )
-_MAX_PLACEMENTS = 0xFFFF  # the sample format's uint16 boundary count
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,17 +117,38 @@ def _sample_layout(
 def verify_manifest(
     manifest: PackingManifest, documents: Sequence[DocumentRecord]
 ) -> VerificationReport:
-    """Check a manifest against the corpus it was packed from, as read.
+    """Check a manifest against the corpus it was packed from, as read:
+    ``ok`` exactly when it equals ``pack_corpus(documents, manifest.config)``.
 
-    The manifest's long-document policy runs first, as in ``pack_corpus``,
-    and must drop exactly the manifest's dropped ids; every other check
-    judges the retained records, whose true lengths bound placements and
-    fragmentation.  The report carries those records as ``retained``; a
-    token store built from them resolves every chunk the plan places.  A
+    On a difference the structural checks report; where they find
+    nothing, one line names the first sample that differs from pack's
+    plan, or pack's refusal of the corpus.  The long-document policy runs
+    once, and the report carries its records as ``retained``; a token
+    store built from them resolves every chunk the plan places.  A
     derived-id collision raises ``CorpusError``.
     """
     cfg = manifest.config
-    documents, dropped = apply_policy(documents, cfg)
+    retained, dropped = apply_policy(documents, cfg)
+    try:
+        planned = _planned(retained, dropped, cfg)
+    except PackingError as exc:
+        planned, refusal = None, exc
+    if manifest == planned:
+        return VerificationReport((), tuple(retained))
+    v = _structural(manifest, retained, dropped)
+    if not v and planned is None:
+        v.append(Violation(None, None, f"pack refuses this corpus with the manifest's config: {refusal}"))
+    elif not v:
+        i = _first_sample_difference(manifest, planned)
+        v.append(Violation(None, None, f"sample {i} differs from the plan this corpus gives"))
+    return VerificationReport(tuple(v), tuple(retained))
+
+
+def _structural(manifest: PackingManifest, documents: list, dropped: tuple) -> list[Violation]:
+    """The manifest's violations of the invariants, judged without
+    planning against the records and dropped ids its long-document policy
+    gives; the records' true lengths bound placements and fragmentation."""
+    cfg = manifest.config
     v: list[Violation] = []
     if dropped != manifest.documents.dropped:
         v.append(Violation(None, None, "dropped documents differ"))
@@ -311,5 +336,4 @@ def verify_manifest(
     # each other fault keeps its report as it is
     if not v:
         v.extend(misplaced)
-
-    return VerificationReport(tuple(v), tuple(documents))
+    return v

@@ -23,12 +23,11 @@ from seqpack import (
     ingest_corpus,
     longdoc,
     read_manifest,
-    verify_manifest,
     write_manifest,
 )
 from seqpack.cli import main
 
-from util import separator_mutant, write_lengths_corpus, write_token_corpus
+from util import separator_mutant, structural_violations, write_lengths_corpus, write_token_corpus
 
 TOY = [3, 4, 2]
 
@@ -54,7 +53,7 @@ def test_pack_prints_summary_and_writes_manifest(tmp_path, capsys):
     assert stdout == "strategy=pad_last_document samples=3 frag=0.0000 pad=0.2000\n"
     manifest = read_manifest(out)
     assert manifest.metrics.sample_count == 3
-    assert verify_manifest(manifest, ingest_corpus(corpus)).ok
+    assert not structural_violations(manifest, ingest_corpus(corpus))
 
 
 def test_pack_summary_lines_all_strategies(tmp_path, capsys):

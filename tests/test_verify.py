@@ -25,6 +25,7 @@ from util import (
     replace_row,
     samples_of,
     separator_mutant,
+    structural_violations,
 )
 
 
@@ -52,8 +53,8 @@ def test_engine_output_verifies_clean_across_strategies_and_policies():
                     drop_final_partial=drop_tail,
                 )
                 manifest = pack_corpus(docs, cfg)
-                report = verify_manifest(manifest, docs)
-                assert report.ok, f"{strategy} {policy} drop={drop_tail}: {_messages(report)}"
+                violations = structural_violations(manifest, docs)
+                assert not violations, f"{strategy} {policy} drop={drop_tail}: {list(map(str, violations))}"
 
 
 @pytest.mark.parametrize(
@@ -96,9 +97,9 @@ def test_separators_stand_only_after_last_tokens(strategy, sep, lengths, L, samp
 def test_report_holds_the_retained_records(policy, overlap):
     docs = docs_from_lengths([12, 3, 7, 4])
     cfg = make_config(Strategy.BEST_FIT, long_doc_policy=policy, slide_overlap=overlap)
-    report = verify_manifest(pack_corpus(docs, cfg), docs)
-    assert report.ok
-    assert report.retained == tuple(apply_policy(docs, cfg)[0])
+    manifest = pack_corpus(docs, cfg)
+    assert not structural_violations(manifest, docs)
+    assert verify_manifest(manifest, docs).retained == tuple(apply_policy(docs, cfg)[0])
 
 
 def _tamper_sample(manifest, sample_idx, placements=None, separators=None):

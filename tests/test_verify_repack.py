@@ -15,23 +15,38 @@ from seqpack import (
     CorpusError,
     CorpusSummary,
     DocumentRecord,
+    LongDocPolicy,
     ManifestError,
     PackingManifest,
     Strategy,
     cli,
     compute_metrics,
     ingest_corpus,
+    manifest_from_json,
     manifest_io,
+    manifest_to_json,
     pack_corpus,
     read_manifest,
+    verify,
     verify_manifest,
     write_manifest,
 )
 from seqpack.cli import main
 
-from util import ALL_STRATEGIES, make_config, plan_table, samples_of, write_lengths_corpus
+from util import (
+    ALL_STRATEGIES,
+    docs_from_lengths,
+    make_config,
+    plan_table,
+    samples_of,
+    random_lengths,
+    structural_violations,
+    write_lengths_corpus,
+    write_token_corpus,
+)
 
 _LAYOUT = "manifest file is not in the layout pack writes"
+_PLAN_MUTANTS = ("swap", "reverse", "close_early")
 
 
 def _run(capsys, argv):
@@ -248,6 +263,51 @@ def test_verify_rejects_every_mutant_of_packs_output(tmp_path, capsys, strategy)
     assert seen == kinds
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+def test_the_library_and_emit_reject_every_plan_mutant(tmp_path, capsys, strategy):
+    # verify_manifest, and emit's check with it, judge a plan as CLI verify
+    # does; the structural checks alone accepted 112 of these 128 mutants
+    seen, full = set(), {}
+    for name, corpus, path, _ in mutants_of_packs_output(tmp_path, strategy):
+        if name not in _PLAN_MUTANTS:
+            continue
+        seen.add(name)
+        docs = ingest_corpus(corpus)
+        report = verify_manifest(read_manifest(path), docs)
+        code, stdout, _ = _verify(capsys, corpus, path)
+        assert not report.ok, (name, path.name)
+        assert [str(v) for v in report.violations] == stdout.splitlines(), (name, path.name)
+        if corpus not in full:  # a full-mode corpus of the same lengths
+            (tmp_path / corpus.stem).mkdir()
+            full[corpus] = write_token_corpus(tmp_path / corpus.stem, [d.length for d in docs], random.Random(5))[0]
+        out = tmp_path / "samples.bin"
+        code, stdout, stderr = _run(capsys, ["emit", str(full[corpus]), "--manifest", str(path), "--out", str(out)])
+        assert (code, stdout) == (2, ""), (name, path.name)
+        assert stderr.startswith(f"error: manifest/corpus mismatch: {report.violations[0]}"), stderr
+        assert not out.exists()
+    assert seen == set(_PLAN_MUTANTS) - (set() if strategy in (Strategy.PAD_LAST_DOCUMENT, Strategy.BEST_FIT)
+                                         else {"close_early"})
+
+
+def _no_structural_path(*args, **kwargs):
+    raise AssertionError("the structural checks ran on pack's own output")
+
+
+@pytest.mark.parametrize("policy, overlap", [(LongDocPolicy.SPLIT, None), (LongDocPolicy.SLIDE, 3),
+                                             (LongDocPolicy.DROP, None)], ids=["split", "slide", "drop"])
+@pytest.mark.parametrize("no_final_drop", [False, True], ids=["drop_tail", "keep_tail"])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+def test_packs_output_never_takes_the_structural_path(monkeypatch, strategy, no_final_drop, policy, overlap):
+    monkeypatch.setattr(verify, "_structural", _no_structural_path)
+    docs = docs_from_lengths(random_lengths(random.Random(23), 50, 30))
+    cfg = make_config(strategy, 12, long_doc_policy=policy, slide_overlap=overlap,
+                      drop_final_partial=not no_final_drop)
+    manifest = pack_corpus(docs, cfg)
+    assert verify_manifest(manifest, docs).ok
+    # as emit reads it: the manifest's JSON round trip equals pack's plan
+    assert verify_manifest(manifest_from_json(manifest_to_json(manifest)), docs).ok
+
+
 def test_pack_refusing_the_corpus_is_the_line(tmp_path, capsys):
     # best_fit at L=200000 puts 70000 one-token documents in one sample,
     # which pack refuses; a plan of two samples passes the structural checks
@@ -264,7 +324,7 @@ def test_pack_refusing_the_corpus_is_the_line(tmp_path, capsys):
     corpus = write_lengths_corpus(tmp_path, lengths.values())
     path = tmp_path / "m.json"
     write_manifest(manifest, path)
-    assert verify_manifest(manifest, docs).ok
+    assert not structural_violations(manifest, docs)
     assert _verify(capsys, corpus, path) == (
         1,
         "pack refuses this corpus with the manifest's config: sample 0: 70000 placements; "

@@ -17,6 +17,8 @@ from seqpack import (
     compute_metrics,
     pack_corpus,
 )
+from seqpack.longdoc import apply_policy
+from seqpack.verify import _structural
 
 
 def docs_from_lengths(lengths, prefix="d") -> list[DocumentRecord]:
@@ -59,6 +61,13 @@ def plan_table(samples) -> PlanTable:
         plan.end_sample()
     plan.ids.extend(index_of)
     return plan
+
+
+def structural_violations(manifest, docs) -> list:
+    """What the structural checks find in a manifest for the corpus
+    ``docs``, as read: a judge of the engine that does not plan, where
+    ``verify_manifest`` would compare the engine with itself."""
+    return _structural(manifest, *apply_policy(docs, manifest.config))
 
 
 def separator_mutant(strategy, sep, lengths, context_length, samples):
