@@ -28,6 +28,7 @@ from .model import (
     ConfigError,
     CorpusError,
     CorpusSummary,
+    CorpusTable,
     DecodeError,
     DocumentRecord,
     EmitError,
@@ -51,6 +52,7 @@ __all__ = [
     "CorpusError",
     "CorpusStats",
     "CorpusSummary",
+    "CorpusTable",
     "DecodeError",
     "DecodeResult",
     "DocumentRecord",

@@ -21,7 +21,7 @@ from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
 from .manifest_io import _head_config, _is_written_form, read_manifest, write_bytes_atomic, write_manifest
 from .metrics import compare_strategies
-from .model import ConfigError, EmitError, PackingConfig, PackingError, Strategy
+from .model import ConfigError, CorpusTable, EmitError, PackingConfig, PackingError, Strategy
 from .strategies import pack_corpus
 from .verify import verify_manifest
 
@@ -195,7 +195,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _repacked(args: argparse.Namespace) -> tuple[bool, list | None]:
+def _repacked(args: argparse.Namespace) -> tuple[bool, CorpusTable | None]:
     """Pack the corpus again with the config in the manifest's head and
     compare the result with the file's bytes: whether they are equal, and
     the corpus as read, ``None`` where there is no config to pack with."""
@@ -233,7 +233,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     corpus_path = Path(args.corpus)
     docs = ingest_corpus(corpus_path, mode="full")
-    stores = [corpus_path.parent / f for f in sorted({d.token_file for d in docs})]
+    stores = [corpus_path.parent / f for f in sorted(docs.files)]
     _refuse_input_as_out(args.out, [corpus_path, args.manifest, *stores])
     # emit checks sample layouts, not the plan against the corpus: verify first
     report = verify_manifest(manifest, docs)
@@ -241,7 +241,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     if problems:
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
-    # the retained records name the derived chunks the plan places
+    # the retained rows name the derived chunks the plan places
     with FileTokenStore(report.retained, base_dir=corpus_path.parent) as store:
         summary = write_bytes_atomic(
             args.out,

@@ -28,10 +28,12 @@ from .model import (
     _TOKEN_BYTES,
     ConfigError,
     CorpusError,
+    CorpusTable,
     DocumentRecord,
     EmitError,
     PackingConfig,
     Strategy,
+    _corpus,
 )
 
 __all__ = [
@@ -44,41 +46,11 @@ __all__ = [
 ]
 
 
-def _parse_record(line_no: int, line: str) -> DocumentRecord:
-    try:
-        if not line.isascii():
-            line.encode("utf-8")  # bytes that are not UTF-8 were read as lone surrogates
-        obj = json.loads(line)
-    except (ValueError, RecursionError):
-        raise CorpusError(f"line {line_no}: malformed record") from None
-    if not isinstance(obj, dict):
-        raise CorpusError(f"line {line_no}: malformed record")
-    doc_id = obj.get("doc_id")
-    length = obj.get("length")
-    if doc_id is None or length is None:
-        raise CorpusError(f"line {line_no}: record needs doc_id and length")
-    if isinstance(doc_id, int) and not isinstance(doc_id, bool):
-        doc_id = str(doc_id)
-    if not isinstance(doc_id, str):
-        raise CorpusError(f"line {line_no}: doc_id must be a string")
-    if not isinstance(length, int) or isinstance(length, bool):
-        raise CorpusError(f"line {line_no}: length must be an integer")
-    if length < 1:
-        raise CorpusError(f"line {line_no}: non-positive length for {doc_id!r}")
-    if "token_file" not in obj and "offset" not in obj:
-        return DocumentRecord(doc_id, length)
-    token_file = obj.get("token_file")
-    offset = obj.get("offset")
-    if not isinstance(token_file, str) or type(offset) is not int or offset < 0:
-        raise CorpusError(f"line {line_no}: invalid token_file/offset for {doc_id!r}")
-    return DocumentRecord(doc_id, length, token_file, offset)
-
-
-def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[DocumentRecord]:
-    """Read a line-delimited corpus into document records, keeping file
-    order.  ``mode`` is ``"lengths_only"`` (default) or ``"full"``; full
-    mode requires every record's token reference to resolve — the store
-    must be a regular file holding a whole number of 4-byte ids, the offset
+def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> CorpusTable:
+    """Read a line-delimited corpus into a table, keeping file order.
+    ``mode`` is ``"lengths_only"`` (default) or ``"full"``; full mode
+    requires every record's token reference to resolve — the store must
+    be a regular file holding a whole number of 4-byte ids, the offset
     must be 4-byte aligned, and the span must lie within the file."""
     if mode not in ("lengths_only", "full"):
         raise ConfigError(f"unknown ingest mode {mode!r}")
@@ -86,58 +58,89 @@ def ingest_corpus(path: str | Path, mode: str = "lengths_only") -> list[Document
     if not path.is_file():
         raise CorpusError(f"corpus file not found: {path}")
 
-    records: list[DocumentRecord] = []
+    full = mode == "full"
+    table = CorpusTable()
+    add_id, add_length = table.ids.append, table.lengths.append
+    # a stripped line holds no whitespace around its value, so decoding one
+    # value and requiring it to end the line accepts what json.loads does
+    decode = json.JSONDecoder().raw_decode
     seen: set[str] = set()
+    file_of: dict[str, int] = {}  # store name -> its index in table.files
     sizes: dict[str, int] = {}
     with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = _parse_record(line_no, line)
-            doc_id, token_file = rec.doc_id, rec.token_file
+            try:
+                if not line.isascii():
+                    line.encode("utf-8")  # bytes that are not UTF-8 were read as lone surrogates
+                obj, end = decode(line)
+            except (ValueError, RecursionError):
+                raise CorpusError(f"line {line_no}: malformed record") from None
+            if end != len(line) or type(obj) is not dict:
+                raise CorpusError(f"line {line_no}: malformed record")
+            doc_id = obj.get("doc_id")
+            length = obj.get("length")
+            if doc_id is None or length is None:
+                raise CorpusError(f"line {line_no}: record needs doc_id and length")
+            if type(doc_id) is int:
+                doc_id = str(doc_id)
+            elif type(doc_id) is not str:
+                raise CorpusError(f"line {line_no}: doc_id must be a string")
+            if type(length) is not int:
+                raise CorpusError(f"line {line_no}: length must be an integer")
+            if length < 1:
+                raise CorpusError(f"line {line_no}: non-positive length for {doc_id!r}")
+            token_file, offset = None, 0
+            if "token_file" in obj or "offset" in obj:
+                token_file = obj.get("token_file")
+                offset = obj.get("offset")
+                if type(token_file) is not str or type(offset) is not int or offset < 0:
+                    raise CorpusError(f"line {line_no}: invalid token_file/offset for {doc_id!r}")
             if doc_id in seen:
                 raise CorpusError(f"line {line_no}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
-            if mode == "full":
+            if full:
                 if token_file is None:
                     raise CorpusError(
                         f"line {line_no}: full mode requires token_file/offset "
                         f"for {doc_id!r}"
                     )
-                size = sizes.get(token_file)
-                if size is None:
-                    try:
-                        st = os.stat(path.parent / token_file)
-                    except OSError:
-                        raise CorpusError(
-                            f"line {line_no}: unresolvable token_ref for "
-                            f"{doc_id!r}: missing store {token_file!r}"
-                        ) from None
-                    if not stat.S_ISREG(st.st_mode):
-                        raise CorpusError(
-                            f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
-                            f"store {token_file!r} is not a regular file"
-                        )
-                    size = st.st_size
-                    if size % _TOKEN_BYTES:
-                        raise CorpusError(
-                            f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
-                            f"store size {size} is not a multiple of {_TOKEN_BYTES}"
-                        )
-                    sizes[token_file] = size
-                if rec.offset % _TOKEN_BYTES:
-                    raise CorpusError(
-                        f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
-                        f"offset {rec.offset} not 4-byte aligned"
-                    )
-                if rec.offset + _TOKEN_BYTES * rec.length > size:
-                    raise CorpusError(
-                        f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
-                        f"span exceeds store size {size}"
-                    )
-            records.append(rec)
-    return records
+                _check_ref(path, sizes, line_no, doc_id, length, token_file, offset)
+            if token_file is None and not table.file:
+                add_id(doc_id)
+                add_length(length)
+            else:
+                f = -1 if token_file is None else file_of.setdefault(token_file, len(file_of))
+                table.append(doc_id, length, f, offset)
+    table.files.extend(file_of)
+    return table
+
+
+def _check_ref(
+    path: Path, sizes: dict[str, int], line_no: int, doc_id: str, length: int, token_file: str, offset: int
+) -> None:
+    """``CorpusError`` unless the line's token reference resolves: the
+    store (its size cached in ``sizes``) is a regular file of whole ids,
+    and the 4-byte aligned span lies inside it."""
+    bad = f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
+    size = sizes.get(token_file)
+    if size is None:
+        try:
+            st = os.stat(path.parent / token_file)
+        except OSError:
+            raise CorpusError(f"{bad}missing store {token_file!r}") from None
+        if not stat.S_ISREG(st.st_mode):
+            raise CorpusError(f"{bad}store {token_file!r} is not a regular file")
+        size = st.st_size
+        if size % _TOKEN_BYTES:
+            raise CorpusError(f"{bad}store size {size} is not a multiple of {_TOKEN_BYTES}")
+        sizes[token_file] = size
+    if offset % _TOKEN_BYTES:
+        raise CorpusError(f"{bad}offset {offset} not 4-byte aligned")
+    if offset + _TOKEN_BYTES * length > size:
+        raise CorpusError(f"{bad}span exceeds store size {size}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,16 +155,16 @@ class CorpusStats:
 
 
 def corpus_stats(
-    docs: Sequence[DocumentRecord], context_length: int | None = None
+    docs: CorpusTable | Iterable[DocumentRecord], context_length: int | None = None
 ) -> CorpusStats:
     """Length statistics with a power-of-two histogram; when a context
     length is given, also count documents longer than it.  A context
     length that ``PackingConfig`` rejects raises its ``ConfigError``."""
     if context_length is not None:
         PackingConfig(context_length, Strategy.BEST_FIT)
-    if not docs:
+    lengths = _corpus(docs).lengths
+    if not lengths:
         return CorpusStats(0, 0, 0, 0, 0.0, 0 if context_length is not None else None, ())
-    lengths = [d.length for d in docs]
     total = sum(lengths)
     buckets: dict[int, int] = {}
     for n in lengths:
@@ -174,7 +177,7 @@ def corpus_stats(
     if context_length is not None:
         over = sum(1 for n in lengths if n > context_length)
     return CorpusStats(
-        len(docs), total, min(lengths), max(lengths), total / len(docs), over, histogram
+        len(lengths), total, min(lengths), max(lengths), total / len(lengths), over, histogram
     )
 
 
@@ -200,7 +203,8 @@ def render_stats(stats: CorpusStats) -> str:
 class FileTokenStore:
     """Token lookup over flat binary stores of little-endian uint32 ids.
 
-    Built from the document records that name a ``token_file``.  Each store
+    Built from the rows of a corpus table (or records) that have a token
+    reference; ``documents`` is kept, not copied.  Each store
     file is opened on first use and shared across documents; a lookup
     reads its range with one positional read into a new ``array('I')``, so
     memory holds only the ranges asked for.  ``close()``, or leaving a ``with``
@@ -208,11 +212,13 @@ class FileTokenStore:
     """
 
     def __init__(
-        self, documents: Iterable[DocumentRecord], base_dir: str | Path = "."
+        self, documents: CorpusTable | Iterable[DocumentRecord], base_dir: str | Path = "."
     ) -> None:
         self._base = Path(base_dir)
-        self._docs: dict[str, DocumentRecord] = {
-            d.doc_id: d for d in documents if d.token_file is not None
+        self._table = table = _corpus(documents)
+        # doc_id -> row, for the rows with a token reference
+        self._row: dict[str, int] = {
+            doc_id: r for r, (doc_id, f) in enumerate(zip(table.ids, table.file)) if f >= 0
         }
         self._files: dict[str, tuple[int, int]] = {}  # file -> (fd, token count)
         self._closed = False
@@ -250,16 +256,18 @@ class FileTokenStore:
         return entry
 
     def get(self, doc_id: str, start: int, end: int) -> array:
-        doc = self._docs.get(doc_id)
-        if doc is None:
+        r = self._row.get(doc_id)
+        if r is None:
             raise EmitError(f"no token data for document {doc_id!r}")
-        if not 0 <= start <= end <= doc.length:
+        table = self._table
+        length = table.lengths[r]
+        if not 0 <= start <= end <= length:
             raise EmitError(
                 f"token range [{start}, {end}) outside document {doc_id!r} "
-                f"(length {doc.length})"
+                f"(length {length})"
             )
-        base = doc.offset // _TOKEN_BYTES
-        file = doc.token_file
+        base = table.offset[r] // _TOKEN_BYTES
+        file = table.files[table.file[r]]
         fd, count = self._store(file)
         if base + end > count:
             raise EmitError(f"token_ref for {doc_id!r} exceeds store {file!r}")

@@ -2,86 +2,94 @@
 
 ``apply_policy`` runs the configured policy over a corpus.  Chunks
 derived from an over-length document inherit the parent id with a ``#<k>``
-suffix and its ``token_file``, with the offset moved to the covered range,
+suffix and its token file, with the offset moved to the covered range,
 so a derived corpus still resolves against the original token store.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from typing import Iterable
+
 from .model import (
     _TOKEN_BYTES,
     CorpusError,
+    CorpusTable,
     DocumentRecord,
     LongDocPolicy,
     PackingConfig,
+    _corpus,
 )
 
 __all__ = ["apply_policy"]
 
 
-def _chunk(doc: DocumentRecord, index: int, start: int, end: int) -> DocumentRecord:
-    if doc.token_file is None:  # lengths only: no offset to move
-        return DocumentRecord(f"{doc.doc_id}#{index}", end - start)
-    offset = doc.offset + _TOKEN_BYTES * start
-    return DocumentRecord(f"{doc.doc_id}#{index}", end - start, doc.token_file, offset)
-
-
-def _split(doc: DocumentRecord, context_length: int) -> list[DocumentRecord]:
-    """Cut an over-length document into consecutive chunks of exactly
-    ``context_length`` tokens; the final chunk keeps whatever remains
-    and may be shorter."""
-    parts = []
-    for k, start in enumerate(range(0, doc.length, context_length)):
-        end = min(start + context_length, doc.length)
-        parts.append(_chunk(doc, k, start, end))
-    return parts
-
-
-def _slide(doc: DocumentRecord, context_length: int, overlap: int) -> list[DocumentRecord]:
-    """Cover an over-length document with overlapping windows of exactly
-    ``context_length`` tokens.
-
-    Consecutive windows advance by ``context_length - overlap``; the
-    final window is pulled back so it ends flush with the document, so
-    every window is full-size and every token is covered at least once.
-    """
-    last = doc.length - context_length
-    starts = [*range(0, last, context_length - overlap), last]
-    return [_chunk(doc, k, s, s + context_length) for k, s in enumerate(starts)]
-
-
 def apply_policy(
-    docs: list[DocumentRecord], cfg: PackingConfig
-) -> tuple[list[DocumentRecord], tuple[str, ...]]:
+    docs: CorpusTable | Iterable[DocumentRecord], cfg: PackingConfig
+) -> tuple[CorpusTable, tuple[str, ...]]:
     """Run the configured long-document policy over a corpus in order.
 
-    Returns the retained (possibly derived) records plus the ids of
-    documents removed by the drop policy.  Every retained record is at
-    most ``cfg.context_length`` tokens long, which the whole-document
-    strategies rely on.  Derived chunk ids must not collide with any
-    other id in the resulting corpus.
+    Returns the retained rows, as a table, plus the ids of documents
+    removed by the drop policy; where no document is longer than
+    ``cfg.context_length`` the table is ``docs`` itself (a table built
+    from ``docs`` when they are records).  Every retained row is at most
+    ``cfg.context_length`` tokens long, which the whole-document
+    strategies rely on.
+
+    split cuts an over-length document into consecutive chunks of exactly
+    ``context_length`` tokens, the last keeping what remains; slide covers
+    it with windows of exactly ``context_length`` tokens that advance by
+    ``context_length - slide_overlap``, the last pulled back to end flush
+    with the document.  Derived chunk ids must not collide with any other
+    id in the resulting corpus.
     """
+    table = _corpus(docs)
     L = cfg.context_length
-    retained: list[DocumentRecord] = []
-    dropped: list[str] = []
-    derived_any = False
-    for doc in docs:
-        if doc.length <= L:
-            retained.append(doc)
-        elif cfg.long_doc_policy is LongDocPolicy.DROP:
-            dropped.append(doc.doc_id)
-        elif cfg.long_doc_policy is LongDocPolicy.SPLIT:
-            retained.extend(_split(doc, L))
-            derived_any = True
+    ids, lengths, refs = table.ids, table.lengths, bool(table.file)
+    if max(lengths, default=0) <= L:
+        return table, ()
+    out = CorpusTable()
+    out.files = table.files
+    if cfg.long_doc_policy is LongDocPolicy.DROP:
+        keep = list(map(L.__ge__, lengths))
+        out.ids = list(compress(ids, keep))
+        out.lengths.extend(compress(lengths, keep))
+        if refs:
+            out.file.extend(compress(table.file, keep))
+            out.offset.extend(compress(table.offset, keep))
+        return out, tuple(compress(ids, map(L.__lt__, lengths)))
+
+    def copy(a: int, b: int) -> None:  # rows a to b fit: as they are
+        out.ids.extend(ids[a:b])
+        out.lengths.extend(lengths[a:b])
+        if refs:
+            out.file.extend(table.file[a:b])
+            out.offset.extend(table.offset[a:b])
+
+    slide = cfg.long_doc_policy is LongDocPolicy.SLIDE
+    a = 0  # the first row not yet copied
+    for r in compress(range(len(lengths)), map(L.__lt__, lengths)):
+        copy(a, r)
+        a = r + 1
+        n = lengths[r]
+        if slide:
+            starts = [*range(0, n - L, L - cfg.slide_overlap), n - L]
+            out.lengths.extend(repeat(L, len(starts)))
         else:
-            retained.extend(_slide(doc, L, cfg.slide_overlap))
-            derived_any = True
-    if derived_any:
+            starts = range(0, n, L)
+            out.lengths.extend(repeat(L, len(starts) - 1))
+            out.lengths.append(n - starts[-1])
+        doc_id = ids[r]
+        out.ids.extend([f"{doc_id}#{k}" for k in range(len(starts))])
+        if refs:
+            f, base = table.file[r], table.offset[r]
+            out.file.extend(repeat(f, len(starts)))
+            out.offset.extend([base + _TOKEN_BYTES * s for s in starts] if f >= 0 else repeat(0, len(starts)))
+    copy(a, len(lengths))
+    if len(set(out.ids)) < len(out.ids):
         seen: set[str] = set()
-        for rec in retained:
-            if rec.doc_id in seen:
-                raise CorpusError(
-                    f"derived chunk id {rec.doc_id!r} collides with another document"
-                )
-            seen.add(rec.doc_id)
-    return retained, tuple(dropped)
+        for doc_id in out.ids:
+            if doc_id in seen:
+                raise CorpusError(f"derived chunk id {doc_id!r} collides with another document")
+            seen.add(doc_id)
+    return out, ()

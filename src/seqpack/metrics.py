@@ -16,11 +16,13 @@ from typing import Iterable, Sequence
 from .longdoc import apply_policy
 from .model import (
     ConfigError,
+    CorpusTable,
     DocumentRecord,
     PackingConfig,
     PackingMetrics,
     PlanTable,
     Strategy,
+    _corpus,
 )
 
 __all__ = [
@@ -33,7 +35,7 @@ __all__ = [
 
 def compute_metrics(
     samples: PlanTable,
-    documents: Sequence[DocumentRecord],
+    documents: CorpusTable | Iterable[DocumentRecord],
     context_length: int,
 ) -> PackingMetrics:
     """Derive the metric counters for a packing plan.
@@ -43,13 +45,17 @@ def compute_metrics(
     document has; every token a sample does not occupy is padding.  A
     placement of a document missing from ``documents`` raises ``KeyError``.
     """
-    lengths = {d.doc_id: d.length for d in documents}
-    length_of = [lengths.get(doc_id) for doc_id in samples.ids]
+    documents = _corpus(documents)
+    if samples.ids is documents.ids:  # a planner's plan indexes the table's rows
+        length_of = documents.lengths
+    else:
+        lengths = dict(zip(documents.ids, documents.lengths))
+        length_of = [lengths.get(doc_id) for doc_id in samples.ids]
     return _plan_metrics(samples, length_of, len(documents), context_length)
 
 
 def _plan_metrics(
-    samples: PlanTable, length_of: list[int | None], document_count: int, context_length: int
+    samples: PlanTable, length_of: Sequence[int | None], document_count: int, context_length: int
 ) -> PackingMetrics:
     """``compute_metrics`` given each document's length by its index in
     ``samples.ids`` (``None`` for a document the corpus lacks) and the
@@ -127,17 +133,17 @@ class StrategyComparison:
 
 
 def compare_strategies(
-    docs: Sequence[DocumentRecord],
+    docs: CorpusTable | Iterable[DocumentRecord],
     cfg: PackingConfig,
     strategies: Iterable[Strategy],
 ) -> StrategyComparison:
     """Pack one corpus with several strategies under one config and
     tabulate the metrics; rows keep the requested order.  The
-    long-document policy runs first; every retained record fits a sample,
-    so the policy pass inside each ``pack_corpus`` keeps them as they are."""
+    long-document policy runs first; every retained row fits a sample, so
+    the policy pass inside each ``pack_corpus`` returns the table as it is."""
     from . import strategies as _strategies  # deferred: strategies imports this module
 
-    retained, _ = apply_policy(list(docs), cfg)
+    retained, _ = apply_policy(docs, cfg)
     rows = []
     for strategy in strategies:
         strategy = Strategy(strategy)

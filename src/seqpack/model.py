@@ -3,9 +3,10 @@
 A corpus of tokenized documents is arranged into training samples of
 exactly ``context_length`` tokens.  Everything downstream (strategies,
 metrics, verification, emission) is built from the types defined here:
-small immutable records, and one ``PlanTable`` whose samples every layer
-walks by iterating it, so a packing plan can be shared, serialized, and
-re-checked without touching token content.
+small immutable records, one ``CorpusTable`` of document columns, and one
+``PlanTable`` whose samples every layer walks by iterating it, so a
+packing plan can be shared, serialized, and re-checked without touching
+token content.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, islice
-from typing import NamedTuple
+from itertools import accumulate, islice, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "PackingError",
@@ -27,6 +28,7 @@ __all__ = [
     "Strategy",
     "LongDocPolicy",
     "DocumentRecord",
+    "CorpusTable",
     "PackingConfig",
     "PlanTable",
     "CorpusSummary",
@@ -102,6 +104,74 @@ class DocumentRecord:
     length: int
     token_file: str | None = None
     offset: int = 0
+
+
+class CorpusTable:
+    """A corpus as columns, one row per document in corpus order.
+
+    Row ``r`` is document ``ids[r]`` of ``lengths[r]`` tokens (an
+    ``array('q')``).  Its token reference, where it has one, is the byte
+    offset ``offset[r]`` into the store ``files[file[r]]``; ``file[r]`` is
+    -1 for a row without one.  The ``file`` and ``offset`` columns are
+    empty while no row has a token reference, and hold one entry per row
+    once one does.  ``len`` is the row count, and iterating the table is
+    the one walk of its rows: each comes out as a ``DocumentRecord``.
+    ``from_records`` builds a table from records.
+    """
+
+    __slots__ = ("ids", "lengths", "files", "file", "offset")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.lengths, self.file, self.offset = array("q"), array("q"), array("q")
+        self.files: list[str] = []
+
+    @classmethod
+    def from_records(cls, records: Iterable[DocumentRecord]) -> CorpusTable:
+        """The table of ``records``, in their order; a record whose
+        ``token_file`` is ``None`` has no token reference."""
+        table = cls()
+        file_of: dict[str, int] = {}  # store name -> its index in files
+        for d in records:
+            if d.token_file is None:
+                table.append(d.doc_id, d.length)
+            else:
+                table.append(d.doc_id, d.length, file_of.setdefault(d.token_file, len(file_of)), d.offset)
+        table.files.extend(file_of)
+        return table
+
+    def append(self, doc_id: str, length: int, file: int = -1, offset: int = 0) -> None:
+        """Add a row; ``file`` indexes ``files`` for a row with a token
+        reference, and is -1 with ``offset`` 0 for one without."""
+        if file >= 0 and not self.file:  # the first token reference: cover every row
+            self.file.extend(repeat(-1, len(self.ids)))
+            self.offset.extend(repeat(0, len(self.ids)))
+        self.ids.append(doc_id)
+        self.lengths.append(length)
+        if self.file or file >= 0:
+            self.file.append(file)
+            self.offset.append(offset)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[DocumentRecord]:
+        if not self.file:
+            return map(DocumentRecord, self.ids, self.lengths)
+        files = self.files
+        return (
+            DocumentRecord(doc_id, n, files[f], off) if f >= 0 else DocumentRecord(doc_id, n)
+            for doc_id, n, f, off in zip(self.ids, self.lengths, self.file, self.offset)
+        )
+
+    def __repr__(self) -> str:
+        return f"CorpusTable({len(self)} documents)"
+
+
+def _corpus(docs: CorpusTable | Iterable[DocumentRecord]) -> CorpusTable:
+    """``docs`` as a table: itself, or ``CorpusTable.from_records(docs)``;
+    the one way records enter the public functions."""
+    return docs if isinstance(docs, CorpusTable) else CorpusTable.from_records(docs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +289,9 @@ class PlanTable:
     end[r])`` at ``offset[r]`` of its sample.  Sample ``i`` owns rows
     ``[first[i], first[i + 1])``, in manifest order, and the separator
     positions ``separators[sep_first[i]:sep_first[i + 1]]``.  Each doc id
-    string is held once, in ``ids``.  ``len`` is the sample count, and
+    string is held once, in ``ids``; a planner's table shares the ``ids``
+    list of the corpus table it plans, so ``doc`` indexes its rows.
+    ``len`` is the sample count, and
     iterating the table is the one walk of its samples: each comes out as
     ``(placements, separators)``, its rows and its separator positions.
 

@@ -19,6 +19,7 @@ from array import array
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from itertools import pairwise
+from typing import Iterable
 
 from .longdoc import apply_policy
 from .metrics import compute_metrics
@@ -26,6 +27,7 @@ from .model import (
     _MAX_PLACEMENTS,
     ConfigError,
     CorpusSummary,
+    CorpusTable,
     DocumentRecord,
     PackingConfig,
     PackingManifest,
@@ -43,7 +45,7 @@ __all__ = ["pack_corpus"]
 _Plan = tuple[PlanTable, int]
 
 
-def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
+def _fill_sequential(docs: CorpusTable, cfg: PackingConfig) -> _Plan:
     """Fill samples in corpus order, one open sample at a time.
 
     The three sequential strategies differ only in the overflow rule,
@@ -69,7 +71,7 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     pad = cfg.strategy is Strategy.PAD_LAST_DOCUMENT
     sep_cost = cfg.separator_cost
 
-    plan = PlanTable([d.doc_id for d in docs])
+    plan = PlanTable(docs.ids)
     add_doc, add_start, add_end, add_offset = (
         plan.doc.append, plan.start.append, plan.end.append, plan.offset.append
     )
@@ -87,8 +89,7 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
         plan.end_sample()
         pos = 0
 
-    for k, doc in enumerate(docs):
-        n = doc.length
+    for k, n in enumerate(docs.lengths):
         eff = n + sep_cost if cts else effective_length(n, cfg)
         rem = L - pos
         start = 0
@@ -125,7 +126,7 @@ def _fill_sequential(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     return plan, discarded
 
 
-def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
+def _best_fit(docs: CorpusTable, cfg: PackingConfig) -> _Plan:
     """Whole-document bin packing: each document goes into the open
     sample with the least remaining room that still fits it entirely,
     or opens a new sample when none fits.
@@ -135,14 +136,13 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     No document ever fragments; sample residuals become padding.
     """
     L = cfg.context_length
-    ids = [d.doc_id for d in docs]
-    lengths = [d.length for d in docs]
+    lengths = docs.lengths
     effs = [effective_length(n, cfg) for n in lengths]
 
     order = range(len(docs))
     if not cfg.online:
         # (-eff, doc_id) order by two stable sorts: by id, then by length
-        order = sorted(order, key=ids.__getitem__)
+        order = sorted(order, key=docs.ids.__getitem__)
         order.sort(key=effs.__getitem__, reverse=True)
 
     # live: the residuals that have an open sample, sorted, so the
@@ -181,7 +181,7 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
 
     # group the rows by sample with one stable counting sort, so each
     # sample keeps its rows in placement order
-    plan = PlanTable(ids)
+    plan = PlanTable(docs.ids)
     plan.first, by_sample = _group(sample_of, len(fills))
     plan.doc = array("q", map(order.__getitem__, by_sample))
     plan.start = array("q", bytes(8 * len(by_sample)))
@@ -198,7 +198,7 @@ def _best_fit(docs: list[DocumentRecord], cfg: PackingConfig) -> _Plan:
     return plan, 0
 
 
-def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
+def pack_corpus(docs: CorpusTable | Iterable[DocumentRecord], cfg: PackingConfig) -> PackingManifest:
     """Plan a corpus as read: apply the configured long-document policy,
     pack with the configured strategy, and record any dropped documents
     on the manifest.  ``verify_manifest`` accepts only this manifest for
@@ -213,7 +213,7 @@ def pack_corpus(docs: list[DocumentRecord], cfg: PackingConfig) -> PackingManife
     return _planned(*apply_policy(docs, cfg), cfg)
 
 
-def _planned(retained: list[DocumentRecord], dropped: tuple, cfg: PackingConfig) -> PackingManifest:
+def _planned(retained: CorpusTable, dropped: tuple, cfg: PackingConfig) -> PackingManifest:
     """``pack_corpus`` after its policy pass, given the pass's output."""
     planner = _best_fit if cfg.strategy is Strategy.BEST_FIT else _fill_sequential
     plan, discarded = planner(retained, cfg)
@@ -221,6 +221,6 @@ def _planned(retained: list[DocumentRecord], dropped: tuple, cfg: PackingConfig)
         if count > _MAX_PLACEMENTS:
             raise ConfigError(f"sample {i}: {count} placements; "
                               f"the boundary plane holds at most {_MAX_PLACEMENTS}")
-    summary = CorpusSummary(len(retained), sum(d.length for d in retained), dropped)
+    summary = CorpusSummary(len(retained), sum(retained.lengths), dropped)
     metrics = compute_metrics(plan, retained, cfg.context_length)
     return PackingManifest(cfg, summary, plan, metrics, discarded)

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
-from itertools import compress
-from typing import Sequence
+from itertools import compress, islice
+from typing import Iterable
 
 from .longdoc import apply_policy
 from .manifest_io import _first_sample_difference
 from .metrics import _plan_metrics
 from .model import (
     _MAX_PLACEMENTS,
+    CorpusTable,
     DocumentRecord,
     PackingError,
     PackingManifest,
@@ -60,7 +61,7 @@ class Violation:
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     violations: tuple[Violation, ...]
-    retained: tuple[DocumentRecord, ...]  # the policy's output, derived chunks included
+    retained: CorpusTable  # the policy's output, derived chunks included
 
     @property
     def ok(self) -> bool:
@@ -115,7 +116,7 @@ def _sample_layout(
 
 
 def verify_manifest(
-    manifest: PackingManifest, documents: Sequence[DocumentRecord]
+    manifest: PackingManifest, documents: CorpusTable | Iterable[DocumentRecord]
 ) -> VerificationReport:
     """Check a manifest against the corpus it was packed from, as read:
     ``ok`` exactly when it equals ``pack_corpus(documents, manifest.config)``.
@@ -123,8 +124,8 @@ def verify_manifest(
     On a difference the structural checks report; where they find
     nothing, one line names the first sample that differs from pack's
     plan, or pack's refusal of the corpus.  The long-document policy runs
-    once, and the report carries its records as ``retained``; a token
-    store built from them resolves every chunk the plan places.  A
+    once, and the report carries its table as ``retained``; a token
+    store built from it resolves every chunk the plan places.  A
     derived-id collision raises ``CorpusError``.
     """
     cfg = manifest.config
@@ -134,27 +135,27 @@ def verify_manifest(
     except PackingError as exc:
         planned, refusal = None, exc
     if manifest == planned:
-        return VerificationReport((), tuple(retained))
+        return VerificationReport((), retained)
     v = _structural(manifest, retained, dropped)
     if not v and planned is None:
         v.append(Violation(None, None, f"pack refuses this corpus with the manifest's config: {refusal}"))
     elif not v:
         i = _first_sample_difference(manifest, planned)
         v.append(Violation(None, None, f"sample {i} differs from the plan this corpus gives"))
-    return VerificationReport(tuple(v), tuple(retained))
+    return VerificationReport(tuple(v), retained)
 
 
-def _structural(manifest: PackingManifest, documents: list, dropped: tuple) -> list[Violation]:
+def _structural(manifest: PackingManifest, documents: CorpusTable, dropped: tuple) -> list[Violation]:
     """The manifest's violations of the invariants, judged without
-    planning against the records and dropped ids its long-document policy
-    gives; the records' true lengths bound placements and fragmentation."""
+    planning against the table and dropped ids its long-document policy
+    gives; the rows' true lengths bound placements and fragmentation."""
     cfg = manifest.config
     v: list[Violation] = []
     if dropped != manifest.documents.dropped:
         v.append(Violation(None, None, "dropped documents differ"))
     L = cfg.context_length
     strategy = cfg.strategy
-    lengths = {d.doc_id: d.length for d in documents}
+    lengths = dict(zip(documents.ids, documents.lengths))
 
     if manifest.documents.document_count != len(documents):
         v.append(
@@ -166,7 +167,7 @@ def _structural(manifest: PackingManifest, documents: list, dropped: tuple) -> l
                 f"{len(documents)}",
             )
         )
-    total_tokens = sum(d.length for d in documents)
+    total_tokens = sum(documents.lengths)
     if manifest.documents.total_tokens != total_tokens:
         v.append(
             Violation(
@@ -303,12 +304,12 @@ def _structural(manifest: PackingManifest, documents: list, dropped: tuple) -> l
         # sample may lack a whole placement, and they end the corpus
         k = len(documents)
         if cfg.drop_final_partial:
-            while k and documents[k - 1].doc_id not in complete:
+            while k and documents.ids[k - 1] not in complete:
                 k -= 1
-        for d in documents[:k]:
-            if d.doc_id not in complete:
-                v.append(Violation(None, d.doc_id, "document missing from packing"))
-        discarded = sum(effective_length(d.length, cfg) for d in documents[k:])
+        for doc_id in islice(documents.ids, k):
+            if doc_id not in complete:
+                v.append(Violation(None, doc_id, "document missing from packing"))
+        discarded = sum(effective_length(n, cfg) for n in islice(documents.lengths, k, None))
     if manifest.discarded_tail_tokens != discarded:
         v.append(
             Violation(

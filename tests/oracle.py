@@ -6,22 +6,31 @@ search, for judging best-fit quality on small instances.
 ``simulate_reference`` re-derives a strategy's metrics with literal
 token-by-token simulation, written deliberately straight-line and kept
 free of any engine code, so an engine bug cannot hide in shared logic.
-Neither function belongs in a production path.
+``reference_ingest`` reads a corpus file with one ``json.loads`` per
+line into a list of records, checking each line in turn, for judging
+``ingest_corpus`` row by row and message by message.
+
+None of these belongs in a production path.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import stat
+from pathlib import Path
 from typing import Sequence
 
 from seqpack import (
     ConfigError,
+    CorpusError,
     DocumentRecord,
     PackingConfig,
     PackingMetrics,
     Strategy,
 )
 
-__all__ = ["brute_force_min_bins", "simulate_reference"]
+__all__ = ["brute_force_min_bins", "simulate_reference", "reference_ingest"]
 
 _MAX_EXHAUSTIVE_ITEMS = 14
 _MAX_SIMULATED_DOCS = 1000
@@ -212,3 +221,78 @@ def simulate_reference(
         else:
             bins[best_j] -= eff
     return _metrics(len(bins), L, 0, sum(bins), n_docs)
+
+
+def _reference_record(line_no: int, line: str) -> DocumentRecord:
+    try:
+        if not line.isascii():
+            line.encode("utf-8")  # bytes that are not UTF-8 were read as lone surrogates
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        raise CorpusError(f"line {line_no}: malformed record") from None
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {line_no}: malformed record")
+    doc_id = obj.get("doc_id")
+    length = obj.get("length")
+    if doc_id is None or length is None:
+        raise CorpusError(f"line {line_no}: record needs doc_id and length")
+    if isinstance(doc_id, int) and not isinstance(doc_id, bool):
+        doc_id = str(doc_id)
+    if not isinstance(doc_id, str):
+        raise CorpusError(f"line {line_no}: doc_id must be a string")
+    if not isinstance(length, int) or isinstance(length, bool):
+        raise CorpusError(f"line {line_no}: length must be an integer")
+    if length < 1:
+        raise CorpusError(f"line {line_no}: non-positive length for {doc_id!r}")
+    if "token_file" not in obj and "offset" not in obj:
+        return DocumentRecord(doc_id, length)
+    token_file = obj.get("token_file")
+    offset = obj.get("offset")
+    if not isinstance(token_file, str) or type(offset) is not int or offset < 0:
+        raise CorpusError(f"line {line_no}: invalid token_file/offset for {doc_id!r}")
+    return DocumentRecord(doc_id, length, token_file, offset)
+
+
+def reference_ingest(path: str | Path, mode: str) -> list[DocumentRecord]:
+    """The records of a corpus file, or the ``CorpusError`` of its first
+    bad line: one ``json.loads`` per stripped non-blank line, then the
+    record's checks, the duplicate id and, in full mode, its token
+    reference against the store's size."""
+    path = Path(path)
+    records: list[DocumentRecord] = []
+    seen: set[str] = set()
+    sizes: dict[str, int] = {}
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            rec = _reference_record(line_no, line)
+            doc_id, token_file = rec.doc_id, rec.token_file
+            if doc_id in seen:
+                raise CorpusError(f"line {line_no}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
+            if mode == "full":
+                bad = f"line {line_no}: unresolvable token_ref for {doc_id!r}: "
+                if token_file is None:
+                    raise CorpusError(
+                        f"line {line_no}: full mode requires token_file/offset for {doc_id!r}"
+                    )
+                size = sizes.get(token_file)
+                if size is None:
+                    try:
+                        st = os.stat(path.parent / token_file)
+                    except OSError:
+                        raise CorpusError(bad + f"missing store {token_file!r}") from None
+                    if not stat.S_ISREG(st.st_mode):
+                        raise CorpusError(bad + f"store {token_file!r} is not a regular file")
+                    size = st.st_size
+                    if size % 4:
+                        raise CorpusError(bad + f"store size {size} is not a multiple of 4")
+                    sizes[token_file] = size
+                if rec.offset % 4:
+                    raise CorpusError(bad + f"offset {rec.offset} not 4-byte aligned")
+                if rec.offset + 4 * rec.length > size:
+                    raise CorpusError(bad + f"span exceeds store size {size}")
+            records.append(rec)
+    return records

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import seqpack
 from seqpack import (
@@ -23,6 +25,7 @@ from seqpack import (
 from seqpack.cli import main
 from seqpack.corpus import render_stats
 
+from oracle import reference_ingest
 from util import write_token_corpus
 
 
@@ -38,15 +41,20 @@ def test_ingest_reads_token_file_and_offset_into_the_record(tmp_path, mode):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id":"a","length":3,"token_file":"t.bin","offset":12}\n')
     (tmp_path / "t.bin").write_bytes(bytes(24))
-    assert ingest_corpus(path, mode) == [DocumentRecord("a", 3, "t.bin", 12)]
+    table = ingest_corpus(path, mode)
+    assert list(table) == [DocumentRecord("a", 3, "t.bin", 12)]
+    assert (table.ids, table.lengths.tolist(), table.files, table.file.tolist(), table.offset.tolist()) == (
+        ["a"], [3], ["t.bin"], [0], [12]
+    )
 
 
 def test_ingest_keeps_order_and_fields(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"doc_id": "a", "length": 3}\n{"doc_id": "b", "length": 4}\n')
-    records = ingest_corpus(path)
-    assert records == [DocumentRecord("a", 3), DocumentRecord("b", 4)]
-    assert all(r.token_file is None for r in records)
+    table = ingest_corpus(path)
+    assert list(table) == [DocumentRecord("a", 3), DocumentRecord("b", 4)]
+    # no row has a token reference, so the reference columns stay empty
+    assert (table.files, table.file.tolist(), table.offset.tolist()) == ([], [], [])
 
 
 def test_ingest_rejects_zero_length_with_line_number(tmp_path):
@@ -80,6 +88,143 @@ def test_cli_rejects_bad_record_with_line_number(tmp_path, capsys, line, message
     assert main(["stats", str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: line 1: {message}\n")
+
+
+# every ingest message with the line it names, as (modes, corpus bytes,
+# message); _GOOD is a good line and a whitespace-only one, which counts
+_BOTH = ("lengths_only", "full")
+_REF = b', "token_file": "t.bin", "offset": 0'
+_GOOD = b'{"doc_id": "g", "length": 2' + _REF + b'}\n \t\n'
+_INGEST_MESSAGES = [
+    (_BOTH, b"not json", "line 1: malformed record"),
+    (_BOTH, _GOOD + b"not json", "line 3: malformed record"),
+    (_BOTH, _GOOD + b"[1, 2]", "line 3: malformed record"),
+    (_BOTH, _GOOD + b'"x"', "line 3: malformed record"),
+    (_BOTH, _GOOD + b"null", "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3} x', "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3}{"doc_id": "b", "length": 3}', "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3},', "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a",\n"length": 3}', "line 3: malformed record"),
+    (_BOTH, _GOOD + b'\xef\xbb\xbf{"doc_id": "a", "length": 3}', "line 3: malformed record"),
+    (_BOTH, b'\xef\xbb\xbf{"doc_id": "a", "length": 3}', "line 1: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "\xff", "length": 3}', "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3}\x80', "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a\\ud800", "length": 1' + _REF + b'}\n{"doc_id": "\xc3", "length": 1}', "line 4: malformed record"),
+    (_BOTH, _GOOD + b"[" * 100_000 + b"]" * 100_000, "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": ' + b"9" * 5000 + b"}", "line 3: malformed record"),
+    (_BOTH, _GOOD + b'{"doc_id": "a"}', "line 3: record needs doc_id and length"),
+    (_BOTH, _GOOD + b'{"length": 3}', "line 3: record needs doc_id and length"),
+    (_BOTH, _GOOD + b'{"doc_id": null, "length": 3}', "line 3: record needs doc_id and length"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": null}', "line 3: record needs doc_id and length"),
+    (_BOTH, _GOOD + b'{"doc_id": 1.5, "length": 3}', "line 3: doc_id must be a string"),
+    (_BOTH, _GOOD + b'{"doc_id": true, "length": 3}', "line 3: doc_id must be a string"),
+    (_BOTH, _GOOD + b'{"doc_id": ["a"], "length": 3}', "line 3: doc_id must be a string"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": "3"}', "line 3: length must be an integer"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3.0}', "line 3: length must be an integer"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": true}', "line 3: length must be an integer"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": false}', "line 3: length must be an integer"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": NaN}', "line 3: length must be an integer"),
+    (_BOTH, _GOOD + b'{"doc_id": 1.5, "length": "3"}', "line 3: doc_id must be a string"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 0}', "line 3: non-positive length for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": 7, "length": -1}', "line 3: non-positive length for '7'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "offset": 0}', "line 3: invalid token_file/offset for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "token_file": "t.bin"}', "line 3: invalid token_file/offset for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "token_file": 3, "offset": 0}', "line 3: invalid token_file/offset for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "token_file": null, "offset": 0}', "line 3: invalid token_file/offset for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "token_file": "t.bin", "offset": true}', "line 3: invalid token_file/offset for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "token_file": "t.bin", "offset": 4.0}', "line 3: invalid token_file/offset for 'a'"),
+    (_BOTH, _GOOD + b'{"doc_id": "a", "length": 3, "token_file": "t.bin", "offset": -4}', "line 3: invalid token_file/offset for 'a'"),
+    (("lengths_only",), _GOOD + b'{"doc_id": "g", "length": 1}', "line 3: duplicate doc_id 'g'"),
+    (("lengths_only",), _GOOD + b'{"doc_id": 7, "length": 1}\n{"doc_id": "7", "length": 1}', "line 4: duplicate doc_id '7'"),
+    # a line's own fault comes before the duplicate
+    (("lengths_only",), _GOOD + b'{"doc_id": "g", "length": 0}', "line 3: non-positive length for 'g'"),
+    (("full",), _GOOD + b'{"doc_id": "h", "length": 1}', "line 3: full mode requires token_file/offset for 'h'"),
+    (("full",), b'{"doc_id": "a", "length": 1' + _REF + b'}\n\n{"doc_id": "a", "length": 1}', "line 3: duplicate doc_id 'a'"),
+    (("full",), b'{"doc_id": "a", "length": 1' + _REF + b'}\n\n{"doc_id": "b", "length": 1}', "line 3: full mode requires token_file/offset for 'b'"),
+    (("full",), b'{"doc_id": "a", "length": 1, "token_file": "gone.bin", "offset": 0}', "line 1: unresolvable token_ref for 'a': missing store 'gone.bin'"),
+    (("full",), b'{"doc_id": "a", "length": 1, "token_file": "sub", "offset": 0}', "line 1: unresolvable token_ref for 'a': store 'sub' is not a regular file"),
+    (("full",), b'{"doc_id": "a", "length": 1' + _REF + b'}\n{"doc_id": "b", "length": 1, "token_file": "odd.bin", "offset": 0}', "line 2: unresolvable token_ref for 'b': store size 41 is not a multiple of 4"),
+    (("full",), b'{"doc_id": "a", "length": 1, "token_file": "t.bin", "offset": 2}', "line 1: unresolvable token_ref for 'a': offset 2 not 4-byte aligned"),
+    (("full",), b'{"doc_id": "a", "length": 4' + _REF + b'}\n{"doc_id": "b", "length": 2, "token_file": "t.bin", "offset": 12}', "line 2: unresolvable token_ref for 'b': span exceeds store size 16"),
+    # the store's size is judged before the offset, the offset before the span
+    (("full",), b'{"doc_id": "a", "length": 99, "token_file": "odd.bin", "offset": 2}', "line 1: unresolvable token_ref for 'a': store size 41 is not a multiple of 4"),
+    (("full",), b'{"doc_id": "a", "length": 99, "token_file": "t.bin", "offset": 2}', "line 1: unresolvable token_ref for 'a': offset 2 not 4-byte aligned"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, text, message",
+    [
+        pytest.param(mode, text, message, id=f"{mode}-{i}")
+        for i, (modes, text, message) in enumerate(_INGEST_MESSAGES)
+        for mode in modes
+    ],
+)
+def test_ingest_message_and_line_number(tmp_path, mode, text, message):
+    (tmp_path / "t.bin").write_bytes(bytes(16))
+    (tmp_path / "odd.bin").write_bytes(bytes(41))
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(text + b"\n")
+    with pytest.raises(CorpusError) as caught:
+        ingest_corpus(path, mode)
+    assert str(caught.value) == message
+
+
+_IDS = st.one_of(st.text("ab#7", min_size=1, max_size=2), st.integers(0, 20))
+_GOOD_RECORDS = st.one_of(
+    st.fixed_dictionaries({"doc_id": _IDS, "length": st.integers(1, 4)}),
+    st.fixed_dictionaries(
+        {"doc_id": _IDS, "length": st.integers(1, 4), "token_file": st.just("t.bin"), "offset": st.sampled_from([0, 4, 8])}
+    ),
+)
+_ANY_RECORDS = st.fixed_dictionaries(
+    {
+        "doc_id": st.one_of(_IDS, st.sampled_from([True, 1.5, None])),
+        "length": st.one_of(st.integers(-1, 6), st.sampled_from([True, 2.0, "3", None])),
+    },
+    optional={
+        "token_file": st.sampled_from(["t.bin", "odd.bin", "gone.bin", "sub", 3, None]),
+        "offset": st.sampled_from([0, 4, 8, 2, -4, True, 4.0, "0"]),
+    },
+)
+# (position, bytes): a cut where the bytes are empty, else an insertion; a
+# newline cut joins two records on one line, one inserted splits a record
+_DAMAGE = st.tuples(
+    st.integers(0, 10_000),
+    st.sampled_from([b"", b"\n", b" ", b"\r", b"{", b"}", b",", b'"', b"x", b"\xff", b"\xef\xbb\xbf"]),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    records=st.lists(_GOOD_RECORDS, max_size=8),
+    odd=st.lists(_ANY_RECORDS, max_size=1),
+    damage=st.lists(_DAMAGE, max_size=2),
+    mode=st.sampled_from(_BOTH),
+)
+@example(  # one object split across two lines
+    records=[{"doc_id": "a", "length": 1}, {"doc_id": "b", "length": 2}], odd=[], damage=[(14, b"\n")], mode="lengths_only"
+)
+def test_ingest_matches_the_per_line_reference(tmp_path, records, odd, damage, mode):
+    # the same rows, or the same first error, as one json.loads per line
+    (tmp_path / "t.bin").write_bytes(bytes(16))
+    (tmp_path / "odd.bin").write_bytes(bytes(41))
+    (tmp_path / "sub").mkdir(exist_ok=True)
+    records[len(records) // 2:len(records) // 2] = odd
+    text = b"".join(json.dumps(r).encode() + b"\n" for r in records)
+    for at, piece in damage:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at + (not piece):]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(text)
+    outcomes = []
+    for read in (ingest_corpus, reference_ingest):
+        try:
+            outcomes.append(list(read(path, mode)))
+        except CorpusError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_ingest_rejects_duplicate_ids(tmp_path):

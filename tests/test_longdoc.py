@@ -6,6 +6,7 @@ import pytest
 
 from seqpack import (
     CorpusError,
+    CorpusTable,
     DocumentRecord,
     LongDocPolicy,
     PackingConfig,
@@ -22,7 +23,7 @@ def _doc(n, doc_id="X", offset=0):
 
 def _split(doc, context_length):
     cfg = make_config(Strategy.BEST_FIT, context_length=context_length)
-    return apply_policy([doc], cfg)[0]
+    return list(apply_policy([doc], cfg)[0])
 
 
 def _slide(doc, context_length, overlap):
@@ -32,7 +33,7 @@ def _slide(doc, context_length, overlap):
         long_doc_policy=LongDocPolicy.SLIDE,
         slide_overlap=overlap,
     )
-    return apply_policy([doc], cfg)[0]
+    return list(apply_policy([doc], cfg)[0])
 
 
 def test_split_partitions_into_context_sized_chunks():
@@ -105,8 +106,32 @@ def test_slide_short_doc_untouched():
 def test_apply_policy_split_is_identity_for_short_corpora(toy_docs):
     cfg = make_config(Strategy.CONCAT_THEN_SPLIT, context_length=5)
     retained, dropped = apply_policy(toy_docs, cfg)
-    assert retained == toy_docs
+    assert list(retained) == toy_docs
     assert dropped == ()
+
+
+def test_apply_policy_returns_a_table_that_fits_as_it_is(toy_docs):
+    # compare's passes over retained rows allocate nothing
+    table = CorpusTable.from_records(toy_docs)
+    for policy in LongDocPolicy:
+        cfg = make_config(Strategy.BEST_FIT, context_length=4, long_doc_policy=policy,
+                          slide_overlap=1 if policy is LongDocPolicy.SLIDE else None)
+        retained, dropped = apply_policy(table, cfg)
+        assert retained is table and dropped == ()
+
+
+def test_apply_policy_keeps_each_rows_token_reference():
+    # a table holds rows with and without a token reference side by side
+    docs = [DocumentRecord("a", 2, "t", 8), DocumentRecord("b", 9), DocumentRecord("c", 5, "u", 4)]
+    retained, _ = apply_policy(docs, make_config(Strategy.BEST_FIT, context_length=4))
+    assert list(retained) == [
+        DocumentRecord("a", 2, "t", 8),
+        DocumentRecord("b#0", 4), DocumentRecord("b#1", 4), DocumentRecord("b#2", 1),
+        DocumentRecord("c#0", 4, "u", 4), DocumentRecord("c#1", 1, "u", 20),
+    ]
+    cfg = make_config(Strategy.BEST_FIT, context_length=4, long_doc_policy=LongDocPolicy.DROP)
+    retained, dropped = apply_policy(docs, cfg)
+    assert (list(retained), dropped) == ([DocumentRecord("a", 2, "t", 8)], ("b", "c"))
 
 
 def test_apply_policy_drop_records_ids():

@@ -32,6 +32,7 @@ from seqpack import (
     Strategy,
     decode_samples,
     emit_samples,
+    ingest_corpus,
     pack_corpus,
     verify_manifest,
 )
@@ -596,6 +597,26 @@ def test_plan_memory_is_columnar(strategy, lengths):
     back, read_bytes, _ = _traced(lambda: manifest_from_json(text))
     assert manifest_to_json(back) == text
     assert read_bytes / placements <= 128, read_bytes / placements
+
+
+def test_corpus_memory_is_columnar(tmp_path):
+    # a lengths-only document is its id string and two column slots, not a
+    # record object: with 8-character ids ingest holds at most 96 B per
+    # document (records took 146-156 B), and on the plan_only shape the
+    # split policy at most 112 B per chunk it derives, the rows it copies
+    # as they are included (chunk records took 166 B)
+    rng = random.Random(29)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(
+        json.dumps({"doc_id": f"{i:08d}", "length": rng.randint(1, 4096)}) + "\n" for i in range(20_000)
+    ))
+    table, ingest_bytes, _ = _traced(lambda: ingest_corpus(path))
+    assert ingest_bytes / len(table) <= 96, ingest_bytes / len(table)
+    cfg = make_config(Strategy.RESTART_LAST_DOCUMENT, context_length=2048)
+    (retained, _), policy_bytes, _ = _traced(lambda: apply_policy(table, cfg))
+    chunks = len(retained) - sum(n <= 2048 for n in table.lengths)
+    assert chunks > 19_000
+    assert policy_bytes / chunks <= 112, policy_bytes / chunks
 
 
 @_SHAPES
