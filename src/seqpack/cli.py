@@ -169,8 +169,7 @@ def _refuse_input_as_out(out: str, inputs: Iterable[str | Path]) -> None:
 def _cmd_pack(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _refuse_input_as_out(args.out, filter(None, (args.corpus, args.config)))
-    docs = ingest_corpus(args.corpus)
-    manifest = pack_corpus(docs, cfg)
+    manifest = pack_corpus(ingest_corpus(args.corpus), cfg)  # a temporary: freed before planning
     write_manifest(manifest, args.out)
     m = manifest.metrics
     print(
@@ -186,8 +185,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--strategies must name at least one strategy")
     strategies = [_parse_strategy(name) for name in names]
     cfg = _build_config(args, strategy_required=False)
-    docs = ingest_corpus(args.corpus)
-    comparison = compare_strategies(docs, cfg, strategies)
+    comparison = compare_strategies(ingest_corpus(args.corpus), cfg, strategies)
     if args.json:
         print(json.dumps(comparison.as_rows()))
     else:

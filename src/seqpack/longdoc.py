@@ -8,6 +8,7 @@ so a derived corpus still resolves against the original token store.
 
 from __future__ import annotations
 
+import operator
 from itertools import compress, repeat
 from typing import Iterable
 
@@ -67,16 +68,20 @@ def apply_policy(
             out.offset.extend(table.offset[a:b])
 
     slide = cfg.long_doc_policy is LongDocPolicy.SLIDE
+    step = L - cfg.slide_overlap if slide else L
+
+    def starts_of(n: int):  # the first token of each chunk of an over-length row
+        return [*range(0, n - L, step), n - L] if slide else range(0, n, L)
+
     a = 0  # the first row not yet copied
     for r in compress(range(len(lengths)), map(L.__lt__, lengths)):
         copy(a, r)
         a = r + 1
         n = lengths[r]
+        starts = starts_of(n)
         if slide:
-            starts = [*range(0, n - L, L - cfg.slide_overlap), n - L]
             out.lengths.extend(repeat(L, len(starts)))
         else:
-            starts = range(0, n, L)
             out.lengths.extend(repeat(L, len(starts) - 1))
             out.lengths.append(n - starts[-1])
         doc_id = ids[r]
@@ -86,10 +91,41 @@ def apply_policy(
             out.file.extend(repeat(f, len(starts)))
             out.offset.extend([base + _TOKEN_BYTES * s for s in starts] if f >= 0 else repeat(0, len(starts)))
     copy(a, len(lengths))
-    if len(set(out.ids)) < len(out.ids):
+    # a derived id p#k collides only with a row that fits and is named so:
+    # chunks of distinct rows differ in p or k.  So only where such a row
+    # exists is the output walked, to name the first id it holds twice.
+    if _chunk_named_row(table, L, starts_of):
         seen: set[str] = set()
         for doc_id in out.ids:
             if doc_id in seen:
                 raise CorpusError(f"derived chunk id {doc_id!r} collides with another document")
             seen.add(doc_id)
     return out, ()
+
+
+def _chunk_named_row(table: CorpusTable, L: int, starts_of) -> bool:
+    """Whether a row of ``table`` that fits is named ``p#k`` for a row
+    ``p`` over ``L`` with a chunk ``k``: ``k`` the canonical ASCII decimal
+    of a number below ``len(starts_of(p's length))``."""
+    ids, lengths = table.ids, table.lengths
+
+    def named():  # (p, k) of each row that fits and is named p#k, k canonical
+        for r in compress(range(len(ids)), map(operator.contains, ids, repeat("#"))):  # at C speed
+            if lengths[r] <= L:
+                p, _, k = ids[r].rpartition("#")
+                if k.isascii() and k.isdigit() and (k == "0" or k[0] != "0"):
+                    yield p, k
+
+    try:
+        parents = {p for p, _ in named()}
+    except TypeError:  # an id that is not a str: let the output walk decide
+        return True
+    if not parents:
+        return False
+    chunks = {  # each over-length row's chunk count, by the prefix its chunk ids carry
+        f"{doc_id}": len(starts_of(n))
+        for doc_id, n in zip(ids, lengths)
+        if n > L and f"{doc_id}" in parents
+    }
+    # a k longer than the count's decimal is out of range, and int() refuses one over 4300 digits
+    return any(p in chunks and len(k) <= len(str(chunks[p])) and int(k) < chunks[p] for p, k in named())

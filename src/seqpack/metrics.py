@@ -140,10 +140,13 @@ def compare_strategies(
     """Pack one corpus with several strategies under one config and
     tabulate the metrics; rows keep the requested order.  The
     long-document policy runs first; every retained row fits a sample, so
-    the policy pass inside each ``pack_corpus`` returns the table as it is."""
+    the policy pass inside each ``pack_corpus`` returns the table as it is.
+    A table the caller passed as a temporary is let go once the policy
+    returns."""
     from . import strategies as _strategies  # deferred: strategies imports this module
 
     retained, _ = apply_policy(docs, cfg)
+    del docs
     rows = []
     for strategy in strategies:
         strategy = Strategy(strategy)

@@ -15,10 +15,11 @@ best_fit places whole documents by bin packing (``_best_fit``).
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from itertools import pairwise
+from itertools import islice, pairwise
 from typing import Iterable
 
 from .longdoc import apply_policy
@@ -136,14 +137,21 @@ def _best_fit(docs: CorpusTable, cfg: PackingConfig) -> _Plan:
     No document ever fragments; sample residuals become padding.
     """
     L = cfg.context_length
-    lengths = docs.lengths
-    effs = [effective_length(n, cfg) for n in lengths]
+    ids, lengths = docs.ids, docs.lengths
+    # effective lengths, a separator charged to every document under L
+    effs = array("q", map(operator.add, lengths, map(L.__gt__, lengths))) if cfg.separator_cost else lengths
 
     order = range(len(docs))
     if not cfg.online:
-        # (-eff, doc_id) order by two stable sorts: by id, then by length
-        order = sorted(order, key=docs.ids.__getitem__)
-        order.sort(key=effs.__getitem__, reverse=True)
+        # (-eff, doc_id) order: one stable counting sort on L - eff, whose
+        # keys are in range(L + 1) since no row is over L, over the rows in
+        # id order; that is corpus order when the ids already ascend
+        if all(map(operator.lt, ids, islice(ids, 1, None))):
+            _, order = _group(array("q", map(L.__sub__, effs)), L + 1)
+        else:
+            by_id = array("q", sorted(order, key=ids.__getitem__))
+            _, by_eff = _group(array("q", map(L.__sub__, map(effs.__getitem__, by_id))), L + 1)
+            order = array("q", map(by_id.__getitem__, by_eff))
 
     # live: the residuals that have an open sample, sorted, so the
     # smallest one that fits is a bisect away; open_at[r]: a min-heap of
@@ -152,26 +160,25 @@ def _best_fit(docs: CorpusTable, cfg: PackingConfig) -> _Plan:
     # plan is fixed by the processing order alone.
     live: list[int] = []
     open_at: dict[int, list[int]] = {}
-    fills: list[int] = []
+    samples = 0
     # per document in processing order: its sample
     sample_of = array("q")
-    for k in order:
-        eff = effs[k]
+    for eff in map(effs.__getitem__, order):
         j = bisect_left(live, eff)
         if j < len(live):
-            heap = open_at[live[j]]
+            room = live[j]
+            heap = open_at[room]
             sample_id = heappop(heap)
             if not heap:
-                del open_at[live[j]]
+                del open_at[room]
                 del live[j]
         else:
-            sample_id = len(fills)
-            fills.append(0)
+            room = L
+            sample_id = samples
+            samples += 1
         sample_of.append(sample_id)
-        fill = fills[sample_id] + eff
-        fills[sample_id] = fill
-        if fill < L:
-            residual = L - fill
+        residual = room - eff
+        if residual:
             heap = open_at.get(residual)
             if heap is None:
                 open_at[residual] = [sample_id]
@@ -180,21 +187,28 @@ def _best_fit(docs: CorpusTable, cfg: PackingConfig) -> _Plan:
                 heappush(heap, sample_id)
 
     # group the rows by sample with one stable counting sort, so each
-    # sample keeps its rows in placement order
-    plan = PlanTable(docs.ids)
-    plan.first, by_sample = _group(sample_of, len(fills))
+    # sample keeps its rows in placement order; the scratch goes as soon as
+    # it is used, so the plan's columns grow in its place
+    del live, open_at
+    plan = PlanTable(ids)
+    plan.first, by_sample = _group(sample_of, samples)
+    del sample_of
     plan.doc = array("q", map(order.__getitem__, by_sample))
-    plan.start = array("q", bytes(8 * len(by_sample)))
+    del order, by_sample
+    plan.start = array("q", bytes(8 * len(plan.doc)))
     plan.end = array("q", map(lengths.__getitem__, plan.doc))
     # a sample's rows lie back to back, each taking its effective length
+    add_offset, add_separator, separators = plan.offset.append, plan.separators.append, plan.separators
     for a, b in pairwise(plan.first):
         pos = 0
         for k in plan.doc[a:b]:
-            plan.offset.append(pos)
-            if effs[k] > lengths[k]:
-                plan.separators.append(pos + lengths[k])
-            pos += effs[k]
-        plan.sep_first.append(len(plan.separators))
+            add_offset(pos)
+            n = lengths[k]
+            eff = effs[k]
+            if eff > n:
+                add_separator(pos + n)
+            pos += eff
+        plan.sep_first.append(len(separators))
     return plan, 0
 
 
@@ -209,8 +223,12 @@ def pack_corpus(docs: CorpusTable | Iterable[DocumentRecord], cfg: PackingConfig
     document crosses at most one sample boundary, and the whole-document
     strategies can always place it.  A sample with more placements than
     the sample format records, which emit would refuse, is a ``ConfigError``.
+    A table the caller passed as a temporary is let go once the policy
+    returns, so it is not held while the planner runs.
     """
-    return _planned(*apply_policy(docs, cfg), cfg)
+    retained, dropped = apply_policy(docs, cfg)
+    del docs
+    return _planned(retained, dropped, cfg)
 
 
 def _planned(retained: CorpusTable, dropped: tuple, cfg: PackingConfig) -> PackingManifest:

@@ -6,6 +6,11 @@ search, for judging best-fit quality on small instances.
 ``simulate_reference`` re-derives a strategy's metrics with literal
 token-by-token simulation, written deliberately straight-line and kept
 free of any engine code, so an engine bug cannot hide in shared logic.
+``reference_best_fit`` is its naive quadratic best-fit, giving the whole
+plan: each sample's rows in placement order and its separators.
+``reference_collision`` restates the long-document policy's id rule the
+first way it was written: the output ids in order, one set over all of
+them, and the first id seen twice named.
 ``reference_ingest`` reads a corpus file with one ``json.loads`` per
 line into a list of records, checking each line in turn, for judging
 ``ingest_corpus`` row by row and message by message.
@@ -30,7 +35,13 @@ from seqpack import (
     Strategy,
 )
 
-__all__ = ["brute_force_min_bins", "simulate_reference", "reference_ingest"]
+__all__ = [
+    "brute_force_min_bins",
+    "simulate_reference",
+    "reference_best_fit",
+    "reference_collision",
+    "reference_ingest",
+]
 
 _MAX_EXHAUSTIVE_ITEMS = 14
 _MAX_SIMULATED_DOCS = 1000
@@ -204,23 +215,83 @@ def simulate_reference(
             sample_count += 1
         return _metrics(sample_count, L, 0, padding, n_docs)
 
-    # best_fit: naive quadratic best-fit over open bins
+    samples = reference_best_fit(docs, cfg)
+    padding = sum(L - _used(placements, separators) for placements, separators in samples)
+    return _metrics(len(samples), L, 0, padding, n_docs)
+
+
+def _used(placements, separators) -> int:
+    return sum(end - start for _, start, end, _ in placements) + len(separators)
+
+
+def reference_best_fit(docs: Sequence[DocumentRecord], cfg: PackingConfig) -> list[tuple[tuple, tuple]]:
+    """The best_fit plan of an already-preprocessed corpus, by naive
+    quadratic best-fit over open bins: each sample as ``(placements,
+    separators)``, its placements ``(doc_id, start, end, offset)`` rows in
+    the order the documents went in, back to back from offset 0."""
+    L = cfg.context_length
+    sep = cfg.sep_after_every_doc
     order = list(docs)
     if not cfg.online:
         order.sort(key=lambda d: (-_effective(d.length, sep, L), d.doc_id))
-    bins: list[int] = []  # residuals
+    bins: list[list[DocumentRecord]] = []
+    residuals: list[int] = []
     for d in order:
         eff = _effective(d.length, sep, L)
         best_j = -1
         best_r = L + 1
-        for j, r in enumerate(bins):
+        for j, r in enumerate(residuals):
             if eff <= r < best_r:
                 best_j, best_r = j, r
         if best_j < 0:
-            bins.append(L - eff)
+            bins.append([d])
+            residuals.append(L - eff)
         else:
-            bins[best_j] -= eff
-    return _metrics(len(bins), L, 0, sum(bins), n_docs)
+            bins[best_j].append(d)
+            residuals[best_j] -= eff
+    samples = []
+    for members in bins:
+        placements, separators, pos = [], [], 0
+        for d in members:
+            placements.append((d.doc_id, 0, d.length, pos))
+            pos += d.length
+            if _effective(d.length, sep, L) > d.length:
+                separators.append(pos)
+                pos += 1
+        samples.append((tuple(placements), tuple(separators)))
+    return samples
+
+
+def reference_collision(docs: Sequence[DocumentRecord], cfg: PackingConfig) -> str | None:
+    """The message of the split or slide policy's derived-id collision on
+    ``docs``, or ``None``: every output id in order (a document over the
+    context length gives way to its chunks ``id#0``, ``id#1``, …), one set
+    over them, and the first id seen a second time named."""
+    L = cfg.context_length
+    if all(d.length <= L for d in docs):
+        return None
+    out: list[str] = []
+    for d in docs:
+        if d.length <= L:
+            out.append(d.doc_id)
+            continue
+        if cfg.long_doc_policy == "slide":
+            stride = L - cfg.slide_overlap
+            chunks, start = 1, 0
+            while start + L < d.length:  # a window short of the end: one more
+                start += stride
+                chunks += 1
+        else:
+            chunks = -(-d.length // L)
+        out.extend(f"{d.doc_id}#{k}" for k in range(chunks))
+    if len(set(out)) == len(out):
+        return None
+    seen: set[str] = set()
+    for doc_id in out:
+        if doc_id in seen:
+            return f"derived chunk id {doc_id!r} collides with another document"
+        seen.add(doc_id)
+    raise AssertionError("unreachable")
 
 
 def _reference_record(line_no: int, line: str) -> DocumentRecord:

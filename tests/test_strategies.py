@@ -300,6 +300,46 @@ def test_best_fit_matches_naive_quadratic_on_random_corpora():
 
 
 @st.composite
+def _named_best_fit_corpora(draw):
+    """Up to 60 documents whose ids ascend, descend, are shuffled, or
+    ascend by number but not as strings (``d10`` < ``d9``), with lengths
+    from a small palette so effective lengths tie, a few over L so the
+    policy derives ids (``x#10`` < ``x#9`` once a document has 11 chunks),
+    and any separator and online setting."""
+    L = draw(st.integers(2, 40))
+    palette = draw(st.lists(st.integers(1, L), min_size=1, max_size=4))
+    over = st.integers(L + 1, 12 * L)
+    lengths = draw(st.lists(st.one_of(st.sampled_from(palette), st.integers(1, L), over), max_size=60))
+    n = len(lengths)
+    scheme = draw(st.sampled_from(["ascending", "descending", "shuffled", "numeric"]))
+    if scheme == "numeric":
+        ids = [f"d{i}" for i in range(n)]
+    else:
+        ids = [f"d{i:03d}" for i in range(n)]
+        if scheme == "descending":
+            ids.reverse()
+        elif scheme == "shuffled":
+            ids = draw(st.permutations(ids))
+    cfg = make_config(
+        Strategy.BEST_FIT,
+        context_length=L,
+        sep_after_every_doc=draw(st.booleans()),
+        online=draw(st.booleans()),
+    )
+    return [DocumentRecord(doc_id, m) for doc_id, m in zip(ids, lengths)], cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_named_best_fit_corpora())
+def test_best_fit_plan_is_the_naive_quadratic_plan(case):
+    from oracle import reference_best_fit
+
+    docs, cfg = case
+    retained = list(apply_policy(docs, cfg)[0])
+    assert samples_of(pack_corpus(docs, cfg).samples) == reference_best_fit(retained, cfg)
+
+
+@st.composite
 def _best_fit_cases(draw):
     """A context length up to 8192 and up to 150 document lengths, drawn
     partly from a small palette so residual ties are common."""
