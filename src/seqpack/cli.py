@@ -19,10 +19,11 @@ from typing import Iterable
 
 from .corpus import FileTokenStore, corpus_stats, ingest_corpus, render_stats
 from .emitter import decode_samples, emit_samples
+from .longdoc import apply_policy
 from .manifest_io import _head_config, _is_written_form, read_manifest, write_bytes_atomic, write_manifest
 from .metrics import compare_strategies
-from .model import ConfigError, CorpusTable, EmitError, PackingConfig, PackingError, Strategy
-from .strategies import pack_corpus
+from .model import ConfigError, CorpusTable, EmitError, PackingConfig, PackingError, PackingManifest, Strategy
+from .strategies import _planned, pack_corpus
 from .verify import verify_manifest
 
 EXIT_OK = 0
@@ -193,54 +194,55 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _repacked(args: argparse.Namespace) -> tuple[bool, CorpusTable | None]:
+def _pack_or_read(args: argparse.Namespace, mode: str = "lengths_only") -> tuple[bool, PackingManifest, CorpusTable]:
     """Pack the corpus again with the config in the manifest's head and
-    compare the result with the file's bytes: whether they are equal, and
-    the corpus as read, ``None`` where there is no config to pack with."""
+    compare with the file's bytes.  Equal: True, pack's manifest and the
+    policy's table; else False, the manifest and the corpus as read."""
     cfg = _head_config(args.manifest)
     if cfg is None:
-        return False, None
+        return False, read_manifest(args.manifest), ingest_corpus(args.corpus, mode=mode)
     try:
-        docs = ingest_corpus(args.corpus)
+        docs = ingest_corpus(args.corpus, mode=mode)
     except Exception:
         read_manifest(args.manifest)  # a manifest error comes first, as without the re-pack
         raise
     try:
-        return _is_written_form(pack_corpus(docs, cfg), args.manifest), docs
-    except PackingError:  # the structural checks report on this manifest
-        return False, docs
+        retained, dropped = apply_policy(docs, cfg)
+        packed = _planned(retained, dropped, cfg)
+        if _is_written_form(packed, args.manifest):
+            return True, packed, retained
+        del packed, retained  # not held while the file is read
+    except PackingError:  # verify_manifest reports it, after emit's --out check
+        pass
+    return False, read_manifest(args.manifest), docs
+
+
+def _problems(manifest: PackingManifest, docs: CorpusTable) -> tuple:
+    """Why a manifest that is not pack's own is rejected."""
+    return verify_manifest(manifest, docs).violations or ("manifest file is not in the layout pack writes",)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # byte identity with what pack writes is the check; verify_manifest
     # explains a difference, and where it finds none, the layout differs
-    same, docs = _repacked(args)
-    if same:
-        print("ok")
-        return EXIT_OK
-    manifest = read_manifest(args.manifest)
-    if docs is None:
-        docs = ingest_corpus(args.corpus)
-    problems = verify_manifest(manifest, docs).violations or ["manifest file is not in the layout pack writes"]
-    for problem in problems:
-        print(problem)
-    return EXIT_CONFIG
+    same, manifest, docs = _pack_or_read(args)
+    for line in ["ok"] if same else _problems(manifest, docs):
+        print(line)
+    return EXIT_OK if same else EXIT_CONFIG
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
-    manifest = read_manifest(args.manifest)
+    # emit proceeds exactly where verify prints ok, and then renders pack's
+    # own manifest from the policy's table, derived chunks included
+    same, manifest, docs = _pack_or_read(args, mode="full")
     corpus_path = Path(args.corpus)
-    docs = ingest_corpus(corpus_path, mode="full")
     stores = [corpus_path.parent / f for f in sorted(docs.files)]
     _refuse_input_as_out(args.out, [corpus_path, args.manifest, *stores])
-    # emit checks sample layouts, not the plan against the corpus: verify first
-    report = verify_manifest(manifest, docs)
-    problems = report.violations
-    if problems:
+    if not same:
+        problems = _problems(manifest, docs)
         more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
         raise EmitError(f"manifest/corpus mismatch: {problems[0]}{more}")
-    # the retained rows name the derived chunks the plan places
-    with FileTokenStore(report.retained, base_dir=corpus_path.parent) as store:
+    with FileTokenStore(docs, base_dir=corpus_path.parent) as store:
         summary = write_bytes_atomic(
             args.out,
             lambda fh: emit_samples(manifest, store, fh, mask_separators=args.mask_separators),

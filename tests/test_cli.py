@@ -398,6 +398,48 @@ def test_out_that_names_an_input_is_exit_1(tmp_path, capsys, command, target):
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+_MALFORMED_MANIFEST = (2, 'error: malformed manifest: sample 1: index "1" is not its position\n')
+_BAD_CORPUS_LINE = (2, "error: line 5: malformed record\n")
+_OUT_IS_AN_INPUT = (1, "error: --out {out} is an input of this command: {out}\n")
+
+
+@pytest.mark.parametrize(
+    "faults, out_name, expected",
+    [
+        ({"malformed_manifest", "bad_corpus_line"}, "s.bin", _MALFORMED_MANIFEST),
+        ({"malformed_manifest"}, "corpus.jsonl", _MALFORMED_MANIFEST),
+        ({"bad_corpus_line"}, "m.json", _BAD_CORPUS_LINE),
+        ({"derived_id_collision"}, "corpus.jsonl", _OUT_IS_AN_INPUT),
+        ({"other_corpus"}, "m.json", _OUT_IS_AN_INPUT),
+    ],
+    ids=["manifest_over_corpus", "manifest_over_out", "corpus_over_out", "out_over_collision",
+         "out_over_other_corpus"],
+)
+def test_emit_errors_keep_their_precedence(tmp_path, capsys, faults, out_name, expected):
+    # the manifest is read before the corpus, and --out is checked after
+    # both are read but before the plan is judged against the corpus
+    corpus, _ = write_token_corpus(tmp_path, [7, 3, 4, 2], random.Random(31))
+    manifest = tmp_path / "m.json"
+    packed = corpus
+    if "other_corpus" in faults:
+        packed = write_lengths_corpus(tmp_path, [2, 2, 2], name="other.jsonl")
+    argv = ["pack", "--context-length", "5", "--strategy", "pld", str(packed), "--out", str(manifest)]
+    assert _run(capsys, argv)[0] == 0
+    if "malformed_manifest" in faults:  # the head still parses, so a re-pack may run first
+        manifest.write_text(manifest.read_text().replace('"index":1,', '"index":"1",', 1))
+    if "bad_corpus_line" in faults:
+        corpus.write_text(corpus.read_text() + "{broken\n")
+    if "derived_id_collision" in faults:  # d0 is over L and splits into a#0 and a#1
+        corpus.write_text(corpus.read_text().replace('"d0"', '"a"').replace('"d1"', '"a#1"'))
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    out = tmp_path / out_name
+    code, stdout, stderr = _run(
+        capsys, ["emit", str(corpus), "--manifest", str(manifest), "--out", str(out), "--decode-check"]
+    )
+    assert (code, stdout, stderr) == (expected[0], "", expected[1].format(out=out))
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_emit_with_decode_check(tmp_path, capsys):
     rng = random.Random(71)
     corpus, _ = write_token_corpus(tmp_path, TOY, rng)
@@ -439,8 +481,8 @@ def test_emit_decode_check_with_masked_separators(tmp_path, capsys):
 
 
 def test_emit_runs_the_long_document_policy_once(tmp_path, capsys, monkeypatch):
-    # verify's report hands the store the derived chunks; count calls at
-    # every seqpack binding of apply_policy, as the layer tracer wraps them
+    # the re-pack's policy table hands the store the derived chunks; count
+    # calls at every seqpack binding of apply_policy, as the layer tracer wraps them
     corpus, _ = write_token_corpus(tmp_path, [12, 3], random.Random(19))
     manifest_path = tmp_path / "m.json"
     _run(

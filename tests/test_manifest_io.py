@@ -31,6 +31,7 @@ from seqpack import (
     PackingManifest,
     PackingMetrics,
     Strategy,
+    cli,
     decode_samples,
     emit_samples,
     ingest_corpus,
@@ -686,3 +687,28 @@ def test_read_and_verify_peak_near_the_plan(strategy, lengths):
     report, _, verify_peak = _traced(lambda: verify_manifest(manifest, docs))
     assert report.ok
     assert verify_peak / placements <= 280, verify_peak / placements
+
+
+def test_emit_peaks_near_the_plan(tmp_path, capsys):
+    # emit renders the plan its re-pack compared with the file and parses
+    # no manifest: on the short_docs shape the whole command peaks at most
+    # 320 B per placement beyond what was allocated before (reading the
+    # manifest and planning again to compare took 367-386 B)
+    rng = random.Random(33)
+    lengths = [min(16384, max(1, round(rng.lognormvariate(5.7, 1.02)))) for _ in range(10_000)]
+    corpus = tmp_path / "corpus.jsonl"
+    offset, lines = 0, []
+    for i, n in enumerate(lengths):
+        lines.append(json.dumps({"doc_id": f"{i:08d}", "length": n, "token_file": "tokens.bin", "offset": offset}))
+        offset += 4 * n
+    corpus.write_text("\n".join(lines) + "\n")
+    (tmp_path / "tokens.bin").write_bytes(bytes(offset))
+    manifest = tmp_path / "m.json"
+    argv = ["pack", "--context-length", "2048", "--strategy", "best_fit", str(corpus), "--out", str(manifest)]
+    assert cli.main(argv) == 0
+    argv = ["emit", str(corpus), "--manifest", str(manifest), "--out", str(tmp_path / "s.bin"), "--decode-check"]
+    code, _, peak = _traced(lambda: cli.main(argv))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("decode-check: ok")
+    placements = len(read_manifest(manifest).samples.doc)
+    assert peak / placements <= 320, peak / placements

@@ -1,9 +1,11 @@
 """CLI ``verify`` packs the corpus again and compares bytes: ``ok`` means
 the manifest is what ``pack`` writes for this corpus and the manifest's
-config, and the structural checks explain any difference."""
+config, and the structural checks explain any difference.  ``emit`` makes
+the same check and goes on exactly where ``verify`` prints ``ok``."""
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import replace
@@ -15,12 +17,14 @@ from seqpack import (
     CorpusError,
     CorpusSummary,
     DocumentRecord,
+    FileTokenStore,
     LongDocPolicy,
     ManifestError,
     PackingManifest,
     Strategy,
     cli,
     compute_metrics,
+    emit_samples,
     ingest_corpus,
     manifest_from_json,
     manifest_io,
@@ -93,6 +97,34 @@ def test_ok_on_pack_output_takes_the_repack_path(tmp_path, capsys, monkeypatch, 
     assert _run(capsys, argv + ["--no-final-drop"] * no_final_drop)[0] == 0
     ingests = _pin_repack_path(monkeypatch)
     assert _verify(capsys, corpus, out) == (0, "ok\n", "")
+    assert ingests == [str(corpus)]
+
+
+@pytest.mark.parametrize("no_final_drop", [False, True], ids=["drop", "keep"])
+@pytest.mark.parametrize("strategy", [s.value for s in ALL_STRATEGIES])
+def test_emit_of_pack_output_takes_the_repack_path(tmp_path, capsys, monkeypatch, strategy, no_final_drop):
+    # documents up to 30 tokens at L=12 split, so derived chunks reach the
+    # store; the samples are those the manifest as read and verify's table give
+    rng = random.Random(13)
+    corpus, _ = write_token_corpus(tmp_path, [rng.randint(1, 30) for _ in range(60)], rng)
+    out = tmp_path / "m.json"
+    argv = ["pack", "--context-length", "12", "--strategy", strategy, str(corpus), "--out", str(out)]
+    assert _run(capsys, argv + ["--no-final-drop"] * no_final_drop)[0] == 0
+    manifest, docs = read_manifest(out), ingest_corpus(corpus, mode="full")
+    report = verify_manifest(manifest, docs)
+    assert report.ok and len(report.retained) > len(docs)
+    with FileTokenStore(report.retained, base_dir=tmp_path) as store:
+        stream = io.BytesIO()
+        summary = emit_samples(manifest, store, stream)
+    ingests = _pin_repack_path(monkeypatch)
+    samples = tmp_path / "s.bin"
+    code, stdout, stderr = _run(capsys, ["emit", str(corpus), "--manifest", str(out), "--out", str(samples),
+                                         "--decode-check"])
+    assert (code, stderr) == (0, "")
+    assert stdout == (f"samples={summary.samples_written} tokens={summary.tokens_written} "
+                      f"checksum=sha256:{summary.checksum}\n"
+                      f"decode-check: ok ({len(set(manifest.samples.doc))} documents)\n")
+    assert samples.read_bytes() == stream.getvalue()
     assert ingests == [str(corpus)]
 
 
@@ -264,29 +296,39 @@ def test_verify_rejects_every_mutant_of_packs_output(tmp_path, capsys, strategy)
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
-def test_the_library_and_emit_reject_every_plan_mutant(tmp_path, capsys, strategy):
-    # verify_manifest, and emit's check with it, judge a plan as CLI verify
-    # does; the structural checks alone accepted 112 of these 128 mutants
+def test_the_library_and_emit_reject_every_mutant(tmp_path, capsys, strategy):
+    # verify_manifest judges a plan as CLI verify does (the structural checks
+    # alone accepted 112 of these 128 plan mutants), and emit proceeds exactly
+    # where verify prints ok: it refuses every mutant, a file mutant for its
+    # layout, with verify's first line, and emits pack's own file
     seen, full = set(), {}
     for name, corpus, path, _ in mutants_of_packs_output(tmp_path, strategy):
-        if name not in _PLAN_MUTANTS:
-            continue
         seen.add(name)
         docs = ingest_corpus(corpus)
         report = verify_manifest(read_manifest(path), docs)
         code, stdout, _ = _verify(capsys, corpus, path)
-        assert not report.ok, (name, path.name)
-        assert [str(v) for v in report.violations] == stdout.splitlines(), (name, path.name)
+        lines = stdout.splitlines()
+        if name in _PLAN_MUTANTS:
+            assert not report.ok, (name, path.name)
+            assert [str(v) for v in report.violations] == lines, (name, path.name)
+        else:
+            assert report.ok and lines == [_LAYOUT], (name, path.name)
         if corpus not in full:  # a full-mode corpus of the same lengths
             (tmp_path / corpus.stem).mkdir()
             full[corpus] = write_token_corpus(tmp_path / corpus.stem, [d.length for d in docs], random.Random(5))[0]
         out = tmp_path / "samples.bin"
         code, stdout, stderr = _run(capsys, ["emit", str(full[corpus]), "--manifest", str(path), "--out", str(out)])
-        assert (code, stdout) == (2, ""), (name, path.name)
-        assert stderr.startswith(f"error: manifest/corpus mismatch: {report.violations[0]}"), stderr
+        more = f" (and {len(lines) - 1} more)" if len(lines) > 1 else ""
+        assert (code, stdout, stderr) == (2, "", f"error: manifest/corpus mismatch: {lines[0]}{more}\n"), name
         assert not out.exists()
-    assert seen == set(_PLAN_MUTANTS) - (set() if strategy in (Strategy.PAD_LAST_DOCUMENT, Strategy.BEST_FIT)
-                                         else {"close_early"})
+        if name == "second_samples_key":  # the first file mutant: packed.json is this corpus's
+            argv = ["emit", str(full[corpus]), "--manifest", str(tmp_path / "packed.json"), "--out", str(out)]
+            assert _run(capsys, argv)[0] == 0, path.name
+            out.unlink()
+    kinds = {"swap", "reverse", "second_samples_key", "trailing_newline", "indented"}
+    if strategy in (Strategy.PAD_LAST_DOCUMENT, Strategy.BEST_FIT):
+        kinds.add("close_early")
+    assert seen == kinds
 
 
 def _no_structural_path(*args, **kwargs):
